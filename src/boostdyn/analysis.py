@@ -231,6 +231,19 @@ def default_comparison_t_end(p: ConverterParams, event: StepEvent) -> float:
     return (math.ceil((event.t_event + settle) / period) + 20) * period
 
 
+def simulation_setup(
+    p: ConverterParams, event: Optional[StepEvent], initial_without_event: str = "zero"
+) -> tuple[ConverterParams, str, list[StepEvent]]:
+    """(params, initial state, events) of an oracle run of ``event`` on ``p``:
+    an input step starts from rest at the pre-step input, a load step steady
+    at the pre-step load, and no event from ``initial_without_event``."""
+    if event is None:
+        return p, initial_without_event, []
+    if event.kind is StepKind.INPUT_VOLTAGE:
+        return replace(p, v_i=event.value_before), "zero", [event]
+    return replace(p, r_0=event.value_before), "steady", [event]
+
+
 def compare_models(
     p: ConverterParams,
     event: StepEvent,
@@ -252,16 +265,11 @@ def compare_models(
     if dt is None:
         dt = period / steps_per_cycle
 
-    if event.kind is StepKind.INPUT_VOLTAGE:
-        sim_p = replace(p, v_i=event.value_before)
-        initial = "zero"
-        make_wave = _closed_form_line_waveform
-    else:
-        sim_p = replace(p, r_0=event.value_before)
-        initial = "steady"
-        make_wave = _closed_form_load_waveform
+    sim_p, initial, events = simulation_setup(p, event)
+    line_step = event.kind is StepKind.INPUT_VOLTAGE
+    make_wave = _closed_form_line_waveform if line_step else _closed_form_load_waveform
 
-    trace = simulate_switched(sim_p, [event], steps_per_cycle, t_end, initial_state=initial)
+    trace = simulate_switched(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
     grid = Waveform(0.0, dt, np.zeros(int(round(t_end / dt)) + 1))
 
     waveforms: dict[str, Waveform] = {}
@@ -276,7 +284,7 @@ def compare_models(
 
     for name, parasitics in (("avg+par", True), ("avg-par", False)):
         wave = simulate_averaged(
-            sim_p, [event], dt, t_end, include_parasitics=parasitics, initial_state=initial
+            sim_p, events, dt, t_end, include_parasitics=parasitics, initial_state=initial
         )
         waveforms[name] = wave
         metrics[name] = extract_metrics(wave, event.t_event)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -178,15 +177,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     p = parse_converter(cfg)
     event = parse_event(cfg, p) if "event" in cfg else None
     solver = parse_solver(cfg, p)
-    events = [event] if event else []
-    if event is not None and event.kind is StepKind.INPUT_VOLTAGE:
-        sim_p = replace(p, v_i=event.value_before)
-        initial = "zero"
-    elif event is not None:
-        sim_p = replace(p, r_0=event.value_before)
-        initial = "steady"
-    else:
-        sim_p, initial = p, "zero"
+    sim_p, initial, events = analysis.simulation_setup(p, event, "zero")
     t_end = solver["t_end"] or (_default_t_end(p, event) if event else 40 * p.period)
     if args.engine == "averaged":
         wave = simulate_averaged(
@@ -303,15 +294,7 @@ def cmd_audit(cfg: dict, args: argparse.Namespace) -> int:
     solver = parse_solver(cfg, p)
     block = dict(cfg.get("audit", {}))
     _require_keys(block, _AUDIT_KEYS, set(), "audit")
-    events = [event] if event else []
-    if event is not None and event.kind is StepKind.LOAD_RESISTANCE:
-        sim_p = replace(p, r_0=event.value_before)
-        initial = "steady"
-    elif event is not None:
-        sim_p = replace(p, v_i=event.value_before)
-        initial = "zero"
-    else:
-        sim_p, initial = p, "steady"
+    sim_p, initial, events = analysis.simulation_setup(p, event, "steady")
     t_end = solver["t_end"] or 40 * p.period
     trace = simulate_switched(sim_p, events, solver["steps_per_cycle"], t_end, initial_state=initial)
     t0 = float(block.get("t0", 0.0))

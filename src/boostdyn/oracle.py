@@ -1,15 +1,22 @@
-"""Numerical ground truth: fixed-step integrators for the averaged model,
-a cycle-by-cycle switched simulator, and an energy-conservation audit.
+"""Numerical ground truth: an averaged and a cycle-by-cycle switched
+simulator built on one piecewise-linear description of the circuit, and an
+energy-conservation audit.
 
-Everything here is deterministic: classical fourth-order steps on a fixed
-grid, no adaptivity, so repeated runs produce identical waveforms.
+In each of its modes (switch on, diode conducting, and idle with i_L = 0 in
+discontinuous conduction) the circuit is an affine system x' = A x + u in
+x = (i_L, v_C).  The switched simulator steps the modes exactly through an
+augmented matrix exponential (Van Loan, IEEE TAC 1978); the averaged one
+steps their duty-weighted average (Middlebrook and Cuk, PESC 1976).
+``integrate_second_order`` stays a classical fourth-order integrator, the
+independent check for the closed-form responses.  All grids are fixed, so
+repeated runs produce identical waveforms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +28,9 @@ from .circuit import (
     Waveform,
     validate_params,
 )
+
+#: samples the averaged simulator holds states for at a time
+_BLOCK = 4096
 
 
 class StepTooLarge(ModelDomainError):
@@ -72,20 +82,117 @@ def integrate_second_order(
     return Waveform(t0=0.0, dt=dt, samples=out)
 
 
-def _initial_averaged_state(p: ConverterParams, initial_state, parasitics: bool):
+class _Mode(NamedTuple):
+    """x' = a x + u in x = (i_L, v_C), with the output voltage out @ x."""
+
+    a: np.ndarray
+    u: np.ndarray
+    out: np.ndarray
+
+
+def _modes(p: ConverterParams, v_i: float, r_0: float) -> tuple[_Mode, _Mode, _Mode]:
+    """The on, off and idle modes of the switched circuit at input v_i and load r_0.
+
+    On: the source charges the inductor through r_l + r_m while the capacitor
+    discharges into the load through its ESR.  Off: the inductor feeds the
+    output node through the diode.  Idle: the diode blocks with i_L = 0 and
+    the capacitor discharges as when on.
+    """
+    k = r_0 / (r_0 + p.r_c)
+    g = -1.0 / (p.c * (r_0 + p.r_c))
+    out_c = np.array([0.0, k])
+    on = _Mode(np.diag([-(p.r_l + p.r_m) / p.l, g]), np.array([v_i / p.l, 0.0]), out_c)
+    off = _Mode(np.array([[-(p.r_l + k * p.r_c) / p.l, -k / p.l], [k / p.c, g]]),
+                np.array([(v_i - p.v_d) / p.l, 0.0]), np.array([k * p.r_c, k]))
+    return on, off, _Mode(np.diag([0.0, g]), np.zeros(2), out_c)
+
+
+def _averaged_mode(p: ConverterParams, v_i: float, r_0: float) -> _Mode:
+    """Duty-weighted average of the on and off modes (state-space averaging)."""
+    on, off, _ = _modes(p, v_i, r_0)
+    return _Mode(*(p.d * x_on + (1.0 - p.d) * x_off for x_on, x_off in zip(on, off)))
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of a Taylor series."""
+    squarings = max(0, math.frexp(float(np.abs(m).sum(axis=1).max()))[1] + 1)
+    a = m / 2.0**squarings
+    term = out = np.eye(len(m))
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _ladder(mode: _Mode, h: float, steps: int) -> list[np.ndarray]:
+    """Exact maps of one mode over 1, 2, 4, ... substeps of length h, up to
+    ``steps`` substeps.
+
+    One substep is the augmented exponential exp([[A, u], [0, 0]] h) =
+    [[phi, gamma], [0, 1]] (Van Loan), so a singular A, as in a lossless
+    on mode or the idle mode, needs no special case.  A rung keeps the rows
+    [phi, gamma], which act on the column (i_L, v_C, 1).
+    """
+    aug = np.zeros((3, 3))
+    aug[:2] = np.column_stack([mode.a, mode.u]) * h
+    e = _expm(aug)
+    rungs = [e[:2]]
+    while 2 ** len(rungs) <= steps:
+        e = e @ e
+        rungs.append(e[:2])
+    return rungs
+
+
+def _advance(x: np.ndarray, rungs: list[np.ndarray]) -> None:
+    """Fill the (i_L, v_C, 1) columns x[:, 1:] from x[:, 0] by exact steps
+    of one mode; the rung over ``span`` substeps maps columns [0, span)
+    onto [span, 2 span)."""
+    k = x.shape[1] - 1
+    span = 1
+    for rung in rungs:
+        if span > k:
+            break
+        w = min(span, k + 1 - span)
+        np.matmul(rung, x[:, :w], out=x[:2, span : span + w])
+        span *= 2
+
+
+def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
+    """(i_L, v_C, 1) columns for samples 0..n with the first one set;
+    "steady" is the fixed point of the averaged modes."""
+    x = np.ones((3, n + 1))
     if isinstance(initial_state, tuple):
-        return np.array(initial_state, dtype=float)
-    if initial_state == "zero":
-        return np.zeros(2)
-    if initial_state == "steady":
-        one_d = 1.0 - p.d
-        r_l = p.r_l if parasitics else 0.0
-        r_m = p.r_m if parasitics else 0.0
-        v_d = p.v_d if parasitics else 0.0
-        den = one_d**2 * p.r_0 + r_l + p.d * r_m
-        v = (p.v_i - one_d * v_d) * one_d * p.r_0 / den
-        return np.array([v / (one_d * p.r_0), v])
-    raise ValueError("initial_state must be 'zero', 'steady' or an (i_l, v) tuple")
+        x[:2, 0] = initial_state
+    elif initial_state == "zero":
+        x[:2, 0] = 0.0
+    elif initial_state == "steady":
+        # a x = -u by Cramer's rule, which leaves LAPACK unloaded
+        mode = _averaged_mode(p, p.v_i, p.r_0)
+        (a, b), (c, d), (u0, u1) = *mode.a, mode.u
+        x[:2, 0] = (b * u1 - d * u0) / (a * d - b * c), (c * u0 - a * u1) / (a * d - b * c)
+    else:
+        raise ValueError("initial_state must be 'zero', 'steady' or an (i_l, v_c) tuple")
+    return x
+
+
+def _segments(p: ConverterParams, events: Sequence[StepEvent], dt: float, n: int, cuts):
+    """(a, b, v_i, r_0) for each stretch [a, b] of the grid 0..n between cuts
+    and event samples, with the input and load in force from sample a on.
+    An event acts from its nearest sample, in the order given."""
+    at = sorted(((int(round(ev.t_event / dt)), ev) for ev in events), key=lambda e: e[0])
+    at = [(idx, ev) for idx, ev in at if idx <= n]
+    bounds = sorted({0, n, *(c for c in cuts if c < n), *(idx for idx, _ in at)})
+    v_i, r_0 = p.v_i, p.r_0
+    for a, b in zip(bounds, bounds[1:] or [0]):
+        while at and at[0][0] <= a:
+            ev = at.pop(0)[1]
+            if ev.kind is StepKind.INPUT_VOLTAGE:
+                v_i = ev.value_after
+            else:
+                r_0 = ev.value_after
+        yield a, b, v_i, r_0
 
 
 def simulate_averaged(
@@ -96,12 +203,12 @@ def simulate_averaged(
     include_parasitics: bool = True,
     initial_state="zero",
 ) -> Waveform:
-    """Fixed-step integration of the two-state averaged model.
+    """Exact fixed-step solution of the two-state averaged model.
 
-    States are the inductor current and the averaged voltage; with
-    parasitics on, the reported output adds the capacitor-ESR feedthrough
-    r_c * C * dv/dt.  Events swap the input voltage or the load at the
-    nearest sample boundary.
+    Its matrices are the duty-weighted average of the switched modes, so
+    r_l, r_m, r_c and v_d all enter the dynamics, and the output is
+    R0/(R0 + r_c) * (v_C + (1 - D) r_c i_L); parasitics off zeroes all four.
+    Events swap the input voltage or the load at the nearest sample boundary.
     """
     validate_params(p)
     if t_end <= 0:
@@ -109,63 +216,21 @@ def simulate_averaged(
     dt_max = min(math.sqrt(p.l * p.c) / 100.0, 1.0 / (20.0 * p.f_sw))
     if dt > dt_max:
         raise StepTooLarge(f"dt={dt:g} exceeds stability budget {dt_max:g}")
-
-    r_l = p.r_l if include_parasitics else 0.0
-    r_m = p.r_m if include_parasitics else 0.0
-    r_c = p.r_c if include_parasitics else 0.0
-    v_d = p.v_d if include_parasitics else 0.0
-    one_d = 1.0 - p.d
-    l_ind, cap = p.l, p.c
-    r_series = r_l + p.d * r_m
+    if not include_parasitics:
+        p = replace(p, r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
 
     n = int(round(t_end / dt))
-    switch_at: dict[int, list[StepEvent]] = {}
-    for ev in events:
-        switch_at.setdefault(int(round(ev.t_event / dt)), []).append(ev)
-
-    v_i = p.v_i
-    r_0 = p.r_0
-    i_l, v = (float(x) for x in _initial_averaged_state(p, initial_state, include_parasitics))
+    x = _state_grid(p, initial_state, min(n, _BLOCK))
     out = np.empty(n + 1)
-
-    for idx in range(n + 1):
-        for ev in switch_at.get(idx, ()):
-            if ev.kind is StepKind.INPUT_VOLTAGE:
-                v_i = ev.value_after
-            else:
-                r_0 = ev.value_after
-        dv = (one_d * i_l - v / r_0) / cap
-        out[idx] = v + r_c * cap * dv
-        if idx == n:
-            break
-        # classical fourth-order step, unrolled for the two states
-        di1 = (v_i - one_d * (v + v_d) - i_l * r_series) / l_ind
-        dv1 = (one_d * i_l - v / r_0) / cap
-        i2, v2 = i_l + 0.5 * dt * di1, v + 0.5 * dt * dv1
-        di2 = (v_i - one_d * (v2 + v_d) - i2 * r_series) / l_ind
-        dv2 = (one_d * i2 - v2 / r_0) / cap
-        i3, v3 = i_l + 0.5 * dt * di2, v + 0.5 * dt * dv2
-        di3 = (v_i - one_d * (v3 + v_d) - i3 * r_series) / l_ind
-        dv3 = (one_d * i3 - v3 / r_0) / cap
-        i4, v4 = i_l + dt * di3, v + dt * dv3
-        di4 = (v_i - one_d * (v4 + v_d) - i4 * r_series) / l_ind
-        dv4 = (one_d * i4 - v4 / r_0) / cap
-        i_l += (dt / 6.0) * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
-        v += (dt / 6.0) * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-        if not (math.isfinite(i_l) and math.isfinite(v)):
-            raise NonFiniteState(f"averaged simulation diverged at step {idx}")
+    for a, b, v_i, r_0 in _segments(p, events, dt, n, range(_BLOCK, n, _BLOCK)):
+        mode = _averaged_mode(p, v_i, r_0)
+        seg = x[:, : b - a + 1]
+        _advance(seg, _ladder(mode, dt, b - a))
+        np.matmul(mode.out, seg[:2], out=out[a : b + 1])
+        x[:, 0] = seg[:, -1]
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteState("averaged simulation diverged")
     return Waveform(t0=0.0, dt=dt, samples=out)
-
-
-@dataclass(frozen=True)
-class SwitchedState:
-    """Instantaneous switched-circuit state at one substep."""
-
-    i_l: float
-    v_c: float
-    v1: float
-    v_out: float
-    phase: str  # "on" | "off"
 
 
 @dataclass(frozen=True)
@@ -195,35 +260,8 @@ class SwitchedTrace:
         """Per-cycle means of the output voltage; settles even with ripple."""
         spc = self.steps_per_cycle
         n_cycles = (self.v_out.size - 1) // spc
-        means = np.array(
-            [self.v_out[k * spc : (k + 1) * spc].mean() for k in range(n_cycles)]
-        )
+        means = self.v_out[: n_cycles * spc].reshape(n_cycles, spc).mean(axis=1)
         return Waveform(t0=0.5 * spc * self.dt, dt=spc * self.dt, samples=means)
-
-    def state_at(self, index: int, p: ConverterParams) -> SwitchedState:
-        on = bool(self.on_phase[index])
-        i_l = float(self.i_l[index])
-        v_out = float(self.v_out[index])
-        # switch node: on -> MOSFET drop, off -> output plus diode drop
-        v1 = i_l * p.r_m if on else v_out + p.v_d
-        return SwitchedState(
-            i_l=i_l,
-            v_c=float(self.v_c[index]),
-            v1=v1,
-            v_out=v_out,
-            phase="on" if on else "off",
-        )
-
-
-def _output_node(p: ConverterParams, i_l: float, v_c: float, on: bool, r_0: float):
-    """Resistive node solve: (v_out, i_c) for the active phase."""
-    if on:
-        i_c = -v_c / (r_0 + p.r_c)
-        v_out = v_c * r_0 / (r_0 + p.r_c)
-    else:
-        i_c = (i_l * r_0 - v_c) / (r_0 + p.r_c)
-        v_out = r_0 * (v_c + p.r_c * i_l) / (r_0 + p.r_c)
-    return v_out, i_c
 
 
 def simulate_switched(
@@ -233,13 +271,13 @@ def simulate_switched(
     t_end: float,
     initial_state="zero",
 ) -> SwitchedTrace:
-    """Cycle-by-cycle piecewise-linear simulation of the two switch modes.
+    """Cycle-by-cycle simulation of the switched circuit, exact within each mode.
 
-    On phase: the source charges the inductor through r_l + r_m while the
-    capacitor discharges into the load through its ESR.  Off phase: the
-    inductor feeds the output node through the diode.  The inductor current
-    is clamped at zero when the diode blocks (discontinuous conduction),
-    and the trace is flagged "dcm" when that happens.
+    Each cycle runs round(D * steps_per_cycle) substeps in the on mode and
+    the rest in the off mode.  The first off-phase substep that ends with
+    negative inductor current is clamped to zero and flags the trace "dcm";
+    the idle mode then runs until the output falls to v_i - v_d, where the
+    diode conducts again.
     """
     validate_params(p)
     if steps_per_cycle < 50:
@@ -248,100 +286,67 @@ def simulate_switched(
     if t_end < 20.0 * period:
         raise ValueError("t_end must cover at least 20 switching periods")
 
-    dt = period / steps_per_cycle
+    spc = steps_per_cycle
+    dt = period / spc
     n = int(round(t_end / dt))
-    on_steps = int(round(p.d * steps_per_cycle))
-
-    switch_at: dict[int, list[StepEvent]] = {}
-    for ev in events:
-        switch_at.setdefault(int(round(ev.t_event / dt)), []).append(ev)
-
-    if isinstance(initial_state, tuple):
-        i_l, v_c = float(initial_state[0]), float(initial_state[1])
-    elif initial_state == "zero":
-        i_l, v_c = 0.0, 0.0
-    elif initial_state == "steady":
-        from .steady import steady_inductor_current, steady_output
-
-        i_l = steady_inductor_current(p).i_inductor
-        v_c = steady_output(p)
-    else:
-        raise ValueError("initial_state must be 'zero', 'steady' or an (i_l, v_c) tuple")
-
-    v_i = p.v_i
-    r_0 = p.r_0
-    arr_i = np.empty(n + 1)
-    arr_vc = np.empty(n + 1)
-    arr_vo = np.empty(n + 1)
-    arr_ic = np.empty(n + 1)
-    arr_on = np.empty(n + 1, dtype=bool)
-    arr_vi = np.empty(n + 1)
-    arr_r0 = np.empty(n + 1)
+    on_steps = int(round(p.d * spc))
+    x = _state_grid(p, initial_state, n)
+    v_i_applied = np.empty(n + 1)
+    r_0_applied = np.empty(n + 1)
+    ladders: dict[tuple[float, float], list] = {}
     dcm = False
 
-    l_ind, cap, r_c = p.l, p.c, p.r_c
-    r_on = p.r_l + p.r_m
-    r_l, v_d = p.r_l, p.v_d
-
-    for idx in range(n + 1):
-        for ev in switch_at.get(idx, ()):
-            if ev.kind is StepKind.INPUT_VOLTAGE:
-                v_i = ev.value_after
+    phase_cuts = [*range(spc, n, spc), *range(on_steps, n, spc)]
+    for a, b, v_i, r_0 in _segments(p, events, dt, n, phase_cuts):
+        v_i_applied[a : b + 1] = v_i
+        r_0_applied[a : b + 1] = r_0
+        if (v_i, r_0) not in ladders:
+            ladders[v_i, r_0] = [_ladder(m, dt, spc) for m in _modes(p, v_i, r_0)]
+        on_rungs, off_rungs, idle_rungs = ladders[v_i, r_0]
+        on = a % spc < on_steps
+        k = r_0 / (r_0 + p.r_c)
+        j = a
+        while j < b:
+            i_l, v_c = x[0, j], x[1, j]
+            idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
+            seg = x[:, j : b + 1]
+            _advance(seg, idle_rungs if idle else on_rungs if on else off_rungs)
+            if idle:
+                stop = k * seg[1, 1:] <= v_i - p.v_d
+            elif on and i_l >= 0.0:
+                break  # the on mode only charges the inductor
             else:
-                r_0 = ev.value_after
-        on = (idx % steps_per_cycle) < on_steps
-        v_out, i_c = _output_node(p, i_l, v_c, on, r_0)
-        arr_i[idx] = i_l
-        arr_vc[idx] = v_c
-        arr_vo[idx] = v_out
-        arr_ic[idx] = i_c
-        arr_on[idx] = on
-        arr_vi[idx] = v_i
-        arr_r0[idx] = r_0
-        if idx == n:
-            break
+                stop = seg[0, 1:] < 0.0
+            m = int(stop.argmax())
+            if not stop[m]:
+                break
+            j += m + 1
+            if not idle:
+                x[0, j] = 0.0
+                dcm = dcm or not on
+    i_l, v_c, v_out = x
+    if not (np.all(np.isfinite(i_l)) and np.all(np.isfinite(v_c))):
+        raise NonFiniteState("switched simulation diverged")
 
-        rsum = r_0 + r_c
+    # the diode current i_L reaches the output node only in the off phase;
+    # v_out takes over the ones row of the state grid
+    on_phase = np.resize(np.arange(spc) < on_steps, n + 1)
+    i_c = np.where(on_phase, 0.0, i_l)
+    np.multiply(i_c, p.r_c, out=v_out)
+    v_out += v_c
+    v_out *= r_0_applied
+    i_c *= r_0_applied
+    i_c -= v_c
+    r_sum = r_0_applied + p.r_c
+    v_out /= r_sum
+    i_c /= r_sum
+    return SwitchedTrace(dt, spc, i_l, v_c, v_out, i_c, on_phase, v_i_applied, r_0_applied,
+                         flags=("dcm",) if dcm else ())
 
-        def deriv(i: float, v: float) -> tuple[float, float]:
-            if on:
-                ic = -v / rsum
-                di = (v_i - i * r_on) / l_ind
-            else:
-                ic = (i * r_0 - v) / rsum
-                vo = r_0 * (v + r_c * i) / rsum
-                if i <= 0.0 and (v_i - v_d - vo) < 0.0:
-                    di = 0.0
-                else:
-                    di = (v_i - v_d - vo - i * r_l) / l_ind
-            return di, ic / cap
 
-        di1, dv1 = deriv(i_l, v_c)
-        di2, dv2 = deriv(i_l + 0.5 * dt * di1, v_c + 0.5 * dt * dv1)
-        di3, dv3 = deriv(i_l + 0.5 * dt * di2, v_c + 0.5 * dt * dv2)
-        di4, dv4 = deriv(i_l + dt * di3, v_c + dt * dv3)
-        i_l += (dt / 6.0) * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
-        v_c += (dt / 6.0) * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-        if not (math.isfinite(i_l) and math.isfinite(v_c)):
-            raise NonFiniteState(f"switched simulation diverged at substep {idx}")
-        if i_l < 0.0:
-            if not on:
-                dcm = True
-            i_l = 0.0
-
-    flags = ("dcm",) if dcm else ()
-    return SwitchedTrace(
-        dt=dt,
-        steps_per_cycle=steps_per_cycle,
-        i_l=arr_i,
-        v_c=arr_vc,
-        v_out=arr_vo,
-        i_c=arr_ic,
-        on_phase=arr_on,
-        v_i_applied=arr_vi,
-        r_0_applied=arr_r0,
-        flags=flags,
-    )
+def _trapezoid(y: np.ndarray, t: np.ndarray) -> float:
+    """Trapezoidal integral of the samples y over the grid t."""
+    return float(np.sum(np.diff(t) * (y[1:] + y[:-1])) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -391,20 +396,13 @@ def energy_audit(
     on = trace.on_phase[sl].astype(float)
     off = 1.0 - on
 
-    e_in = np.trapz(trace.v_i_applied[sl] * i_l, t)
     stored_l = 0.5 * p.l * (i_l[-1] ** 2 - i_l[0] ** 2)
-    e_c = 0.5 * p.c * (v_c[-1] ** 2 - v_c[0] ** 2)
-    e_r = np.trapz(v_o**2 / trace.r_0_applied[sl], t)
-    e_vd = np.trapz(off * i_l * p.v_d, t)
-    e_rm = np.trapz(on * i_l**2 * p.r_m, t)
-    e_rl = np.trapz(i_l**2 * p.r_l, t)
-    e_rc = np.trapz(i_c**2 * p.r_c, t)
     return EnergyBreakdown(
-        e_l=float(e_in - stored_l),
-        e_c=float(e_c),
-        e_r=float(e_r),
-        e_vd=float(e_vd),
-        e_rm=float(e_rm),
-        e_rl=float(e_rl),
-        e_rc=float(e_rc),
+        e_l=_trapezoid(trace.v_i_applied[sl] * i_l, t) - float(stored_l),
+        e_c=float(0.5 * p.c * (v_c[-1] ** 2 - v_c[0] ** 2)),
+        e_r=_trapezoid(v_o**2 / trace.r_0_applied[sl], t),
+        e_vd=_trapezoid(off * i_l * p.v_d, t),
+        e_rm=_trapezoid(on * i_l**2 * p.r_m, t),
+        e_rl=_trapezoid(i_l**2 * p.r_l, t),
+        e_rc=_trapezoid(i_c**2 * p.r_c, t),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -26,6 +27,9 @@ PEAK_SLOPE_TOL = 1e-9
 #: root is resolved only to ~sqrt(eps) = 1.5e-8 of its magnitude, so 1e-6 sits
 #: well above that noise and far below the distinct pairs of real load steps (~0.1)
 CONFLUENT_ROOT_TOL = 1e-6
+#: the same for three roots, each pair within it: a triple root splits by
+#: ~eps^(1/3), up to 2.8e-5 of its magnitude measured
+TRIPLE_ROOT_TOL = 1e-3
 
 
 class InvalidPostLoad(ModelDomainError):
@@ -41,9 +45,9 @@ class RepeatedRoots(ModelDomainError):
     """Confluent denominator roots; partial fractions refused.
 
     Two roots are confluent when they lie within ``CONFLUENT_ROOT_TOL`` of the
-    larger magnitude of the pair.  A double root is resolved only to about
-    sqrt(eps) of its magnitude, so it is always caught; a triple root splits
-    by about eps^(1/3) (~7e-6 measured) and may not be.
+    larger magnitude of the pair, and three when each pair of them lies within
+    ``TRIPLE_ROOT_TOL``.  A double root is resolved only to about sqrt(eps) of
+    its magnitude and a triple root to about eps^(1/3), so both are caught.
     """
 
 
@@ -189,20 +193,19 @@ def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
     drive, and the offset is the final-value term gain * dc_gain.
 
     Raises :class:`RepeatedRoots` when two roots are closer than
-    ``CONFLUENT_ROOT_TOL`` relative to the larger of the pair.  A double root
-    is found only to about sqrt(eps) of its magnitude and is refused; a triple
-    root splits by about eps^(1/3) and may slip through.
+    ``CONFLUENT_ROOT_TOL`` relative to the larger of the pair, or three are
+    pairwise closer than ``TRIPLE_ROOT_TOL``.
     """
     den = np.asarray(tf.den, dtype=float)
     num = np.asarray(tf.num, dtype=float)
     roots = pair_conjugates(all_roots(den))
-    for i in range(roots.size):
-        for j in range(i + 1, roots.size):
-            pair_mag = max(abs(roots[i]), abs(roots[j]))
-            if abs(roots[i] - roots[j]) <= CONFLUENT_ROOT_TOL * pair_mag:
-                raise RepeatedRoots(
-                    f"denominator roots {roots[i]:.6g} and {roots[j]:.6g} coincide"
-                )
+    mag = np.abs(roots)
+    rel = np.abs(np.subtract.outer(roots, roots)) / np.maximum.outer(mag, mag)
+    for group in (*combinations(range(roots.size), 2), *combinations(range(roots.size), 3)):
+        tol = CONFLUENT_ROOT_TOL if len(group) == 2 else TRIPLE_ROOT_TOL
+        if all(rel[i, j] <= tol for i, j in combinations(group, 2)):
+            listed = " and ".join(f"{roots[k]:.6g}" for k in group)
+            raise RepeatedRoots(f"denominator roots {listed} coincide")
     scale = tf.gain_i2 * tf.delta_r0
     dden = np.polyder(den)
     modes = tuple(
@@ -246,7 +249,10 @@ def load_metrics(p: ConverterParams, delta_r0: float) -> ResponseMetrics:
 
     decay = min(abs(r.real) for _, r in mode_sum.modes if r.real != 0)
     t_hi = 14.0 / decay
-    bracket = _bracket_extremum(mode_sum, t_hi)
+    # at most a quarter period of the fastest ringing mode per scan step
+    fastest = max(abs(r.imag) for _, r in mode_sum.modes)
+    n_scan = max(512, math.ceil(2.0 * t_hi * fastest / math.pi))
+    bracket = _bracket_extremum(mode_sum, t_hi, n_scan)
     if bracket is None:
         return ResponseMetrics(v_steady, v_steady, None, 0.0, flags=flags + ("no-peak",))
     lo, hi, rising = bracket
@@ -268,7 +274,7 @@ def load_metrics(p: ConverterParams, delta_r0: float) -> ResponseMetrics:
     return ResponseMetrics(v_steady, v_ext, t_p, overshoot, flags=flags)
 
 
-def _bracket_extremum(mode_sum: ExpModeSum, t_hi: float, n: int = 512):
+def _bracket_extremum(mode_sum: ExpModeSum, t_hi: float, n: int):
     """First slope sign change away from the initial direction, or None.
 
     Returns (lo, hi, rising) where ``rising`` records the pre-crossing sign.

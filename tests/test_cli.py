@@ -1,0 +1,73 @@
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from boostdyn import StepEvent, StepKind, analysis, cli, simulate_switched
+
+CONVERTER_KEYS = ("v_i", "l", "r_l", "c", "r_c", "r_m", "v_d", "r_0", "d", "f_sw")
+AUDIT_KEYS = {"t0", "t1", "e_l", "e_c", "e_r", "e_vd", "e_rm", "e_rl", "e_rc", "residual", "flags"}
+
+
+def write_config(tmp_path, p, **blocks):
+    cfg = {"converter": {name: getattr(p, name) for name in CONVERTER_KEYS}, **blocks}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestSimulationSetup:
+    def test_input_step_starts_from_rest_before_the_step(self, line_params):
+        event = StepEvent(StepKind.INPUT_VOLTAGE, 1.0, line_params.v_i)
+        sim_p, initial, events = analysis.simulation_setup(line_params, event)
+        assert sim_p == dataclasses.replace(line_params, v_i=1.0)
+        assert (initial, events) == ("zero", [event])
+
+    def test_load_step_starts_steady_at_the_pre_step_load(self, load_params):
+        event = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0)
+        sim_p, initial, events = analysis.simulation_setup(load_params, event)
+        assert sim_p == dataclasses.replace(load_params, r_0=10.0)
+        assert (initial, events) == ("steady", [event])
+
+    def test_no_event_keeps_the_callers_start(self, load_params):
+        for initial in ("zero", "steady"):
+            assert analysis.simulation_setup(load_params, None, initial) == (
+                load_params, initial, [])
+
+
+class TestAudit:
+    def test_exits_zero_with_documented_keys(self, fast_params, tmp_path, capsys):
+        t_end = 40 * fast_params.period
+        config = write_config(tmp_path, fast_params, solver={"t_end": t_end})
+        assert cli.main(["audit", "--config", config]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == AUDIT_KEYS
+        assert payload["t1"] == t_end
+        assert abs(payload["residual"]) <= 1e-3 * payload["e_l"]
+
+    def test_load_step_run_starts_steady(self, load_params, tmp_path, capsys):
+        event = {"kind": "load_resistance", "value_before": 10.0, "value_after": 150.0}
+        config = write_config(tmp_path, load_params, event=event)
+        assert cli.main(["audit", "--config", config]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flags"] == ["dcm"]
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("event", [None, {"kind": "input_voltage", "value_before": 1.0,
+                                              "value_after": 3.0, "t_event": 1e-4}])
+    def test_switched_csv_is_the_library_run(self, fast_params, tmp_path, event):
+        t_end = 30 * fast_params.period
+        blocks = {"solver": {"t_end": t_end}}
+        if event:
+            blocks["event"] = event
+        config = write_config(tmp_path, fast_params, **blocks)
+        out = tmp_path / "wave.csv"
+        assert cli.main(["simulate", "--engine", "switched", "--config", config,
+                         "--out", str(out)]) == 0
+        v = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        parsed = cli.parse_event(cli.load_config(config), fast_params) if event else None
+        sim_p, initial, events = analysis.simulation_setup(fast_params, parsed, "zero")
+        want = simulate_switched(sim_p, events, 200, t_end, initial_state=initial).v_out
+        assert np.array_equal(v, want)

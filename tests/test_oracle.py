@@ -1,0 +1,223 @@
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from boostdyn import StepEvent, StepKind, fr_step_response
+from boostdyn.oracle import (
+    StepTooLarge,
+    WindowOutOfRange,
+    _advance,
+    _ladder,
+    _modes,
+    energy_audit,
+    simulate_averaged,
+    simulate_switched,
+)
+
+LOSSLESS = dict(r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
+
+
+def one_substep(mode, h, i0, v0):
+    x = np.ones((3, 2))
+    x[:2, 0] = i0, v0
+    _advance(x, _ladder(mode, h, 1))
+    return x[0, 1], x[1, 1]
+
+
+def averaged_dc_output(p):
+    """DC solution of the state-space averaged circuit, from its two balances.
+
+    Capacitor charge: (1-D) R0/(R0+rc) i = v_C/(R0+rc), so v_C = (1-D) R0 i.
+    Inductor volt-seconds: Vi - (1-D) Vd = (rl + D rm) i + (1-D) v_sw, where
+    the off-phase output v_sw = R0 (v_C + rc i)/(R0+rc).  The output
+    R0/(R0+rc) (v_C + (1-D) rc i) then equals (1-D) R0 i.
+    """
+    q = 1.0 - p.d
+    v_sw_per_i = p.r_0 * (q * p.r_0 + p.r_c) / (p.r_0 + p.r_c)
+    i_l = (p.v_i - q * p.v_d) / (p.r_l + p.d * p.r_m + q * v_sw_per_i)
+    return q * p.r_0 * i_l
+
+
+class TestModeSteps:
+    def test_on_substep_matches_closed_form(self, load_params):
+        p = load_params
+        on = _modes(p, p.v_i, p.r_0)[0]
+        h = p.period / 200
+        i1, v1 = one_substep(on, h, 0.3, 4.0)
+        r_on = p.r_l + p.r_m
+        i_inf = p.v_i / r_on
+        assert i1 == pytest.approx(i_inf + (0.3 - i_inf) * math.exp(-r_on * h / p.l), rel=1e-13)
+        assert v1 == pytest.approx(4.0 * math.exp(-h / (p.c * (p.r_0 + p.r_c))), rel=1e-13)
+
+    def test_idle_substep_holds_current_at_zero(self, load_params):
+        p = load_params
+        idle = _modes(p, p.v_i, p.r_0)[2]
+        h = p.period / 200
+        i1, v1 = one_substep(idle, h, 0.0, 6.0)
+        assert i1 == 0.0
+        assert v1 == pytest.approx(6.0 * math.exp(-h / (p.c * (p.r_0 + p.r_c))), rel=1e-13)
+
+    def test_lossless_on_substep_is_a_ramp(self, load_params):
+        # r_l = r_m = 0 makes the on mode singular: i_L ramps at Vi/L
+        p = replace(load_params, **LOSSLESS)
+        on = _modes(p, p.v_i, p.r_0)[0]
+        h = p.period / 200
+        i1, v1 = one_substep(on, h, 0.3, 4.0)
+        assert i1 == pytest.approx(0.3 + p.v_i * h / p.l, rel=1e-14)
+        assert v1 == pytest.approx(4.0 * math.exp(-h / (p.c * p.r_0)), rel=1e-13)
+
+    def test_long_run_matches_repeated_single_steps(self, fast_params):
+        p = fast_params
+        off = _modes(p, p.v_i, p.r_0)[1]
+        h = p.period / 200
+        x = np.ones((3, 301))
+        x[:2, 0] = 0.4, 5.0
+        _advance(x, _ladder(off, h, 300))
+        i_l, v_c = 0.4, 5.0
+        for k in range(1, 301):
+            i_l, v_c = one_substep(off, h, i_l, v_c)
+            assert x[0, k] == pytest.approx(i_l, rel=1e-12)
+            assert x[1, k] == pytest.approx(v_c, rel=1e-12)
+
+
+class TestAveraged:
+    def test_parasitic_free_run_is_the_fr_response(self, line_params):
+        p = line_params
+        t_end = 200 * p.period
+        wave = simulate_averaged(p, [], p.period / 200, t_end, include_parasitics=False)
+        fr = fr_step_response(p, p.v_i, wave.times)
+        assert np.max(np.abs(wave.samples - fr)) <= 1e-10 * np.max(np.abs(fr))
+
+    def test_settles_at_averaged_dc_solution(self, load_params):
+        p = load_params
+        want = averaged_dc_output(p)
+        wave = simulate_averaged(p, [], p.period / 200, 0.1)
+        assert wave.samples[-1] == pytest.approx(want, rel=1e-10)
+        flat = simulate_averaged(p, [], p.period / 200, 0.01, initial_state="steady")
+        assert np.max(np.abs(flat.samples - want)) <= 1e-10 * want
+
+    def test_agrees_with_switched_cycle_average(self, load_params):
+        p = load_params
+        trace = simulate_switched(p, [], 200, 300 * p.period, initial_state="steady")
+        assert trace.flags == ()
+        cycles = trace.cycle_averaged().samples
+        assert cycles[-1] == pytest.approx(averaged_dc_output(p), rel=2e-3)
+
+    def test_event_acts_from_its_sample(self, fast_params):
+        p = fast_params
+        dt = p.period / 200
+        step = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2 * p.r_0, 50 * p.period)
+        both = simulate_averaged(p, [step], dt, 100 * p.period, include_parasitics=False)
+        first = simulate_averaged(p, [], dt, 50 * p.period, include_parasitics=False)
+        assert np.array_equal(both.samples[:10000], first.samples[:10000])
+        # the parasitic-free output is v_C, which the load step leaves continuous
+        assert both.samples[10000] == pytest.approx(first.samples[-1], rel=1e-12)
+
+    def test_parasitic_free_steady_is_the_ideal_ratio(self, fast_params):
+        p = fast_params
+        wave = simulate_averaged(p, [], p.period / 200, p.period, False, initial_state="steady")
+        assert np.allclose(wave.samples, p.v_i / (1 - p.d), rtol=1e-12, atol=0)
+
+
+class TestSwitched:
+    def test_bench_load_step_enters_dcm(self, load_params):
+        p = load_params
+        before = simulate_switched(p, [], 200, 60 * p.period, initial_state="steady")
+        assert before.flags == ()
+        step = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0, 20 * p.period)
+        trace = simulate_switched(p, [step], 200, 60 * p.period, initial_state="steady")
+        assert trace.flags == ("dcm",)
+        assert np.all(trace.i_l >= 0.0)
+        assert np.any(trace.i_l[~trace.on_phase] == 0.0)
+
+    def test_idle_mode_discharges_capacitor_only(self, load_params):
+        p = load_params
+        step = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0, 20 * p.period)
+        trace = simulate_switched(p, [step], 200, 60 * p.period, initial_state="steady")
+        idle = (trace.i_l[:-1] == 0.0) & (trace.i_l[1:] == 0.0) & ~trace.on_phase[:-1]
+        assert idle.sum() > 100
+        decay = trace.v_c[1:][idle] / trace.v_c[:-1][idle]
+        r_sum = trace.r_0_applied[:-1][idle] + p.r_c
+        assert np.allclose(decay, np.exp(-trace.dt / (p.c * r_sum)), rtol=1e-13, atol=0)
+
+    def test_diode_conducts_again_when_output_falls(self, fast_params):
+        # a small capacitor discharges within one idle stretch below Vi - Vd
+        p = replace(fast_params, c=1e-7, d=0.05, r_0=100.0)
+        trace = simulate_switched(p, [], 200, 100 * p.period)
+        off = ~trace.on_phase
+        resume = np.flatnonzero(off[:-1] & off[1:] & (trace.i_l[:-1] == 0.0) & (trace.i_l[1:] > 0.0))
+        assert resume.size > 0
+        assert np.all(trace.v_out[resume] <= p.v_i - p.v_d)
+        assert np.all(trace.v_out[resume - 1] > p.v_i - p.v_d)
+
+    def test_lossless_design_runs_and_conserves_energy(self, load_params):
+        p = replace(load_params, **LOSSLESS)
+        t_end = 2000 * p.period
+        trace = simulate_switched(p, [], 200, t_end, initial_state="steady")
+        assert trace.flags == ()
+        cycles = trace.cycle_averaged().samples
+        assert cycles[-1] == pytest.approx(p.v_i / (1 - p.d), rel=5e-3)
+        audit = energy_audit(p, trace, 0.0, t_end)
+        assert audit.e_vd == audit.e_rm == audit.e_rl == audit.e_rc == 0.0
+        assert abs(audit.residual) <= 1e-5 * audit.e_l
+
+    def test_trace_records_phases_and_applied_values(self, fast_params):
+        p = fast_params
+        step = StepEvent(StepKind.INPUT_VOLTAGE, p.v_i, 2 * p.v_i, 30 * p.period)
+        trace = simulate_switched(p, [step], 200, 40 * p.period)
+        assert trace.on_phase.size == trace.v_out.size == 8001
+        assert np.array_equal(trace.on_phase[:200], np.arange(200) < 100)
+        assert np.all(trace.v_i_applied[:6000] == p.v_i)
+        assert np.all(trace.v_i_applied[6000:] == 2 * p.v_i)
+        # on phase: the load sees the capacitor through its ESR only
+        on = trace.on_phase
+        k = p.r_0 / (p.r_0 + p.r_c)
+        assert np.allclose(trace.v_out[on], k * trace.v_c[on], rtol=1e-14, atol=0)
+
+
+class TestEnergyAudit:
+    def test_residual_small_and_first_order(self, fast_params):
+        # the trapezoid rule meets the switching edges, so the residual is
+        # first order in the substep
+        p = fast_params
+        t_end = 300 * p.period
+
+        def relative_residual(steps_per_cycle):
+            trace = simulate_switched(p, [], steps_per_cycle, t_end)
+            audit = energy_audit(p, trace, 0.0, t_end)
+            return abs(audit.residual) / audit.e_l
+
+        coarse = relative_residual(200)
+        assert coarse <= 1e-4
+        assert relative_residual(800) <= coarse / 3.0
+
+    def test_window_checks(self, fast_params):
+        p = fast_params
+        trace = simulate_switched(p, [], 50, 20 * p.period)
+        with pytest.raises(WindowOutOfRange):
+            energy_audit(p, trace, 0.0, 21 * p.period)
+        with pytest.raises(ValueError):
+            energy_audit(p, trace, 2 * p.period, p.period)
+        assert energy_audit(p, trace, p.period, p.period).residual == 0.0
+
+
+class TestInputChecks:
+    def test_switched_checks(self, fast_params):
+        p = fast_params
+        with pytest.raises(ValueError, match="steps_per_cycle"):
+            simulate_switched(p, [], 49, 40 * p.period)
+        with pytest.raises(ValueError, match="20 switching periods"):
+            simulate_switched(p, [], 200, 19 * p.period)
+        with pytest.raises(ValueError, match="initial_state"):
+            simulate_switched(p, [], 200, 40 * p.period, initial_state="hot")
+
+    def test_averaged_checks(self, fast_params):
+        p = fast_params
+        with pytest.raises(StepTooLarge):
+            simulate_averaged(p, [], p.period / 10, 40 * p.period)
+        with pytest.raises(ValueError, match="t_end"):
+            simulate_averaged(p, [], p.period / 200, 0.0)
+        with pytest.raises(ValueError, match="initial_state"):
+            simulate_averaged(p, [], p.period / 200, p.period, initial_state="hot")

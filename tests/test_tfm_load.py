@@ -144,6 +144,14 @@ class TestInversion:
         with pytest.raises(RepeatedRoots):
             invert_quartic_tf(tf)
 
+    def test_triple_root_refused(self):
+        # root finders split a triple root by ~eps^(1/3), past the pair check;
+        # inverted, it gave deviation(0.01) = 3.7e5 where the exact value is 6.5e-6
+        den = tuple(np.poly([-100.0, -100.0, -100.0, -300.0]))
+        tf = QuarticTF(den=den, num=(0.0, 0.0, 1.0, 2.0, 3.0), gain_i2=1.0, delta_r0=1.0)
+        with pytest.raises(RepeatedRoots):
+            invert_quartic_tf(tf)
+
     def test_close_distinct_pair_inverted(self):
         # 1e-4 relative separation: far above the ~1.5e-8 split of a double root
         poles = (-100.0, -100.01, -200.0, -300.0)
@@ -206,6 +214,24 @@ class TestLoadMetrics:
         assert m.v_max == pytest.approx(13.45842762250333, rel=1e-9)
         assert abs(m.v_max - 13.27) / 13.27 < 0.03
         assert m.t_p == pytest.approx(1.2262725910e-3, rel=1e-6)
+
+    def test_fast_ringing_mode_not_aliased(self):
+        # a slow mode sets a 11.6 s scan window over a 2627 rad/s ringing
+        # mode, which 512 scan points alias into a wrong extremum (-0.10 V)
+        p = ConverterParams(
+            v_i=4.255171178108068, l=0.0011126933021712905, r_l=1.3470515937477674,
+            c=3.478770152714999e-05, r_c=1.1360659427143551, r_m=0.6697398751608228,
+            v_d=0.41922810235450547, r_0=8.406118486317611, d=0.44662629146958355, f_sw=1e4,
+        )
+        delta = 23.374894839023295 - p.r_0
+        m = load_metrics(p, delta)
+        modes = invert_quartic_tf(load_tf_corrected(p, delta))
+        # first extremum: the response rises all the way to t_p
+        t = np.linspace(0.0, m.t_p, 20001)
+        assert np.all(modes.deviation_slope(t[1:-1]) > 0.0)
+        assert m.v_max == pytest.approx(steady_output(p) + modes.deviation(m.t_p), rel=1e-12)
+        assert m.v_max == pytest.approx(10.884841, rel=1e-6)
+        assert m.v_max > m.v_steady
 
     def test_no_step_reports_no_peak(self, load_params):
         m = load_metrics(load_params, 0.0)
