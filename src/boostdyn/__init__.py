@@ -40,7 +40,7 @@ from .tfm_load import (
     load_tf_corrected,
     load_tf_raw,
 )
-from .refmodel import fr_step_response, fr_stitched_load_waveform, fr_tf
+from .refmodel import fr_step_response, fr_tf
 from .oracle import (
     EnergyBreakdown,
     SwitchedTrace,

@@ -1,13 +1,16 @@
 """Error metrics, model comparison tables, parameter sweeps and
-overshoot-mitigation paths over the component space."""
+overshoot-mitigation paths over the component space.
+
+``closed_form`` is the one place that solves an (event, model) pair in
+closed form, once, for its metrics, its pre-event level and its post-event
+response; ``closed_form_metrics``, ``compare_models`` and the CLI all use it.
+"""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +32,7 @@ AER_INPUT_STEP = (5.35, 6.74)
 AER_LOAD_STEP = (8.80, 13.43)
 
 SWEEP_AXES = ("v_i", "d", "l", "c", "r_0", "r_l", "r_c", "r_m", "v_d")
+SWEEP_METRICS = ("v_max", "v_steady", "t_p")
 
 
 class ZeroReference(ModelDomainError):
@@ -48,7 +52,7 @@ class UnsupportedAxisPair(ValueError):
 
 
 class ConstraintInfeasible(ModelDomainError):
-    """Descent constraint projection failed to converge."""
+    """No design satisfies the descent constraint."""
 
 
 def error_percent(y_actual: float, y_fit: float) -> float:
@@ -130,102 +134,92 @@ class ComparisonTable:
         raise KeyError(model)
 
 
-def _closed_form_line_waveform(
-    p: ConverterParams, event: StepEvent, grid: Waveform, model: str
-) -> Waveform:
-    """Sample a closed-form input-step response on an existing time grid."""
-    t = grid.times
-    rel = np.clip(t - event.t_event, 0.0, None)
-    base = 0.0
-    if event.value_before > 0:
-        base = steady_output(replace(p, v_i=event.value_before))
-    if model == "ebm":
-        form = ebm.startup_form(p, v_before=event.value_before)
-        post = ebm.ebm_response(form, rel)
-    elif model == "tfm":
-        tf = tfm_line.line_tf_coefficients(p)
-        post = base + tfm_line.line_step_response(tf, event.delta, rel)
-    elif model == "fr":
-        fr_base = event.value_before / (1.0 - p.d)
-        post = fr_base + refmodel.fr_step_response(p, event.delta, rel)
+class ClosedForm(NamedTuple):
+    """One closed-form solve of an event: its metrics, the output level
+    before the event, and the response ``after(t)`` at times t >= 0 after it."""
+
+    metrics: ResponseMetrics
+    before: float
+    after: Callable
+
+    def waveform(self, t_event: float, dt: float, t_end: float) -> Waveform:
+        """The response sampled every ``dt`` from 0 to ``t_end``."""
+        t = dt * np.arange(int(round(t_end / dt)) + 1)
+        post = self.after(np.clip(t - t_event, 0.0, None))
+        return Waveform(0.0, dt, np.where(t < t_event, self.before, post))
+
+
+def _second_order_tf(tf: tfm_line.SecondOrderTF, base: float, k: float) -> ClosedForm:
+    """Line step of height ``k`` through ``tf`` from the level ``base``."""
+    v_steady = base + k * tf.dc_gain
+    if not tf.is_underdamped:
+        m = ResponseMetrics(v_steady, v_steady, None, 0.0, flags=("overdamped",))
     else:
+        v_max = base + tfm_line.line_peak_voltage(tf, k)
+        over = 100.0 * (v_max - v_steady) / v_steady if v_steady else 0.0
+        m = ResponseMetrics(v_steady, v_max, tfm_line.line_peak_time(tf), over)
+    return ClosedForm(m, base, lambda t: base + tfm_line.line_step_response(tf, k, t))
+
+
+def closed_form(p: ConverterParams, event: StepEvent, model: str) -> ClosedForm:
+    """Solve ``event`` on ``p`` once with the closed-form ``model`` ("ebm",
+    "tfm" or "fr"): its metrics, pre-event level and post-event response.
+
+    An input step starts from the steady output at the pre-step input
+    (FR's ideal ratio for FR, zero for a cold start), a load step from the
+    steady output at the pre-step load.  FR has no load-step transient: it
+    stays flat at Vi/(1-D) and is flagged "no-transient".
+    """
+    if model == "ebm":
+        if event.kind is StepKind.INPUT_VOLTAGE:
+            form = ebm.startup_form(p, v_before=event.value_before)
+        else:
+            form = ebm.load_step_form(p, event.value_before, event.value_after)
+        return ClosedForm(ebm.ebm_metrics(form), form.v0, lambda t: ebm.ebm_response(form, t))
+    if model not in ("tfm", "fr"):
         raise ValueError(model)
-    samples = np.where(t < event.t_event, base, post)
-    return Waveform(t0=grid.t0, dt=grid.dt, samples=samples)
-
-
-def _closed_form_load_waveform(
-    p: ConverterParams, event: StepEvent, grid: Waveform, model: str
-) -> Waveform:
-    t = grid.times
-    rel = np.clip(t - event.t_event, 0.0, None)
+    if event.kind is StepKind.INPUT_VOLTAGE:
+        if model == "fr":
+            base = event.value_before / (1.0 - p.d)
+            return _second_order_tf(refmodel.fr_tf(p), base, event.delta)
+        tf = tfm_line.line_tf_coefficients(p)
+        base = 0.0
+        if event.value_before > 0:
+            base = steady_output(replace(p, v_i=event.value_before))
+        return _second_order_tf(tf, base, event.delta)
+    if model == "fr":
+        level = p.v_i / (1.0 - p.d)
+        flat = ResponseMetrics(level, level, None, 0.0, flags=("no-transient",))
+        return ClosedForm(flat, level, lambda t: np.full_like(t, level))
     pre = replace(p, r_0=event.value_before)
     base = steady_output(pre)
-    if model == "ebm":
-        form = ebm.load_step_form(p, event.value_before, event.value_after)
-        post = ebm.ebm_response(form, rel)
-    elif model == "tfm":
-        post = tfm_load.load_response(pre, event.delta, rel)
-    elif model == "fr":
-        level = p.v_i / (1.0 - p.d)
-        post = np.full_like(rel, level)
-        base = level
-    else:
-        raise ValueError(model)
-    samples = np.where(t < event.t_event, base, post)
-    return Waveform(t0=grid.t0, dt=grid.dt, samples=samples)
+    modes = tfm_load.load_modes(pre, event.delta)
+    return ClosedForm(tfm_load.mode_sum_metrics(base, modes), base,
+                      lambda t: base + modes.deviation(t))
 
 
 def closed_form_metrics(p: ConverterParams, event: StepEvent, model: str) -> ResponseMetrics:
     """Analytic response metrics for one model and one event."""
-    if event.kind is StepKind.INPUT_VOLTAGE:
-        if model == "ebm":
-            return ebm.ebm_metrics(ebm.startup_form(p, v_before=event.value_before))
-        if model == "tfm":
-            tf = tfm_line.line_tf_coefficients(p)
-            base = 0.0
-            if event.value_before > 0:
-                base = steady_output(replace(p, v_i=event.value_before))
-            if not tf.is_underdamped:
-                v_inf = base + event.delta * tf.dc_gain
-                return ResponseMetrics(v_inf, v_inf, None, 0.0, flags=("overdamped",))
-            t_p = tfm_line.line_peak_time(tf)
-            v_steady = base + event.delta * tf.dc_gain
-            v_max = base + tfm_line.line_peak_voltage(tf, event.delta)
-            over = 100.0 * (v_max - v_steady) / v_steady if v_steady else 0.0
-            return ResponseMetrics(v_steady, v_max, t_p, over)
-        if model == "fr":
-            tf = refmodel.fr_tf(p)
-            base = event.value_before / (1.0 - p.d)
-            t_p = tfm_line.line_peak_time(tf)
-            v_steady = base + event.delta * tf.dc_gain
-            v_max = base + tfm_line.line_peak_voltage(tf, event.delta)
-            over = 100.0 * (v_max - v_steady) / v_steady if v_steady else 0.0
-            return ResponseMetrics(v_steady, v_max, t_p, over)
-        raise ValueError(model)
-    if model == "ebm":
-        return ebm.ebm_metrics(ebm.load_step_form(p, event.value_before, event.value_after))
-    if model == "tfm":
-        return tfm_load.load_metrics(replace(p, r_0=event.value_before), event.delta)
-    if model == "fr":
-        level = p.v_i / (1.0 - p.d)
-        return ResponseMetrics(level, level, None, 0.0, flags=("no-transient",))
-    raise ValueError(model)
+    return closed_form(p, event, model).metrics
 
 
 def default_comparison_t_end(p: ConverterParams, event: StepEvent) -> float:
     """Whole-cycle horizon long enough for the slowest row to settle.
 
-    The parasitic-free rows decay at m1/(2 m2) with only the load damping
-    them, so the horizon is set by whichever of the two coefficient sets
-    rings longer.
+    The parasitic-free rows have only the load to damp them, so the horizon
+    is set by whichever of the two coefficient sets settles slower: at
+    xi w0 = m1/(2 m2) while underdamped, else at the slow real pole
+    w0 (xi - sqrt(xi^2 - 1)) = w0^2 / (xi w0 + sqrt((xi w0)^2 - w0^2)).
     """
     r_post = event.value_after if event.kind is StepKind.LOAD_RESISTANCE else p.r_0
     ideal = replace(p, r_l=0.0, r_c=0.0, r_m=0.0, v_d=0.0)
     rates = []
     for q in (p, ideal):
         co = ebm.ode_coefficients(q, r_0=r_post)
-        rates.append(co.m1 / (2.0 * co.m2))
+        rate, w0_sq = co.m1 / (2.0 * co.m2), co.m0 / co.m2
+        if rate * rate >= w0_sq:
+            rate = w0_sq / (rate + math.sqrt(rate * rate - w0_sq))
+        rates.append(rate)
     settle = 12.0 / min(rates)
     period = p.period
     return (math.ceil((event.t_event + settle) / period) + 20) * period
@@ -266,21 +260,17 @@ def compare_models(
         dt = period / steps_per_cycle
 
     sim_p, initial, events = simulation_setup(p, event)
-    line_step = event.kind is StepKind.INPUT_VOLTAGE
-    make_wave = _closed_form_line_waveform if line_step else _closed_form_load_waveform
-
     trace = simulate_switched(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
-    grid = Waveform(0.0, dt, np.zeros(int(round(t_end / dt)) + 1))
 
     waveforms: dict[str, Waveform] = {}
     metrics: dict[str, ResponseMetrics] = {}
     flags: dict[str, tuple[str, ...]] = {}
 
     for model in ("ebm", "tfm", "fr"):
-        waveforms[model] = make_wave(p, event, grid, model)
-        m = closed_form_metrics(p, event, model)
-        metrics[model] = m
-        flags[model] = m.flags
+        solved = closed_form(p, event, model)
+        waveforms[model] = solved.waveform(event.t_event, dt, t_end)
+        metrics[model] = solved.metrics
+        flags[model] = solved.metrics.flags
 
     for name, parasitics in (("avg+par", True), ("avg-par", False)):
         wave = simulate_averaged(
@@ -364,16 +354,9 @@ class SweepGrid:
 
 
 def _metric_for(p: ConverterParams, model: str, metric: str) -> float:
-    m = closed_form_metrics(
-        p, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, p.v_i), model
-    )
-    if metric == "v_max":
-        return m.v_max
-    if metric == "v_steady":
-        return m.v_steady
-    if metric == "t_p":
-        return math.nan if m.t_p is None else m.t_p
-    raise ValueError(f"unknown sweep metric {metric!r}")
+    m = closed_form_metrics(p, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, p.v_i), model)
+    value = getattr(m, metric)
+    return math.nan if value is None else value
 
 
 def sweep(
@@ -385,9 +368,10 @@ def sweep(
 ) -> SweepGrid:
     """Startup-overshoot response surface over two component axes.
 
-    Cells whose parameters fail validation (or land outside a model's
-    domain) are marked invalid rather than interpolated.  BOOSTDYN_THREADS
-    caps the worker count; evaluation order never affects the result.
+    ``metric`` is one of SWEEP_METRICS, read off ``closed_form_metrics`` of
+    a cold start at each cell in turn.  Cells whose parameters fail
+    validation, land outside a model's domain or have no value (t_p of a
+    peak-free response) are NaN and marked invalid, never interpolated.
     """
     if axis1.name not in SWEEP_AXES or axis2.name not in SWEEP_AXES:
         raise UnsupportedAxisPair(f"axes must be drawn from {SWEEP_AXES}")
@@ -397,40 +381,20 @@ def sweep(
         raise UnsupportedAxisPair("axis resolution capped at 512")
     if model not in ("ebm", "tfm"):
         raise ValueError("sweep models are the two closed forms: 'ebm' or 'tfm'")
+    if metric not in SWEEP_METRICS:
+        raise ValueError(f"sweep metric must be one of {SWEEP_METRICS}, not {metric!r}")
 
-    v1 = axis1.values
     v2 = axis2.values
     values = np.full((axis1.n, axis2.n), np.nan)
-    valid = np.zeros((axis1.n, axis2.n), dtype=bool)
-
-    def cell(idx: tuple[int, int]) -> tuple[int, int, float, bool]:
-        i, j = idx
-        try:
-            q = replace(p, **{axis1.name: float(v1[i]), axis2.name: float(v2[j])})
-            val = _metric_for(q, model, metric)
-            return i, j, val, bool(np.isfinite(val))
-        except (ValueError, ModelDomainError):
-            return i, j, math.nan, False
-
-    indices = [(i, j) for i in range(axis1.n) for j in range(axis2.n)]
-    workers = _thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(cell, indices))
-    else:
-        results = [cell(idx) for idx in indices]
-    for i, j, val, ok in results:
-        values[i, j] = val
-        valid[i, j] = ok
-    return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values, valid=valid)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("BOOSTDYN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    for i, x in enumerate(axis1.values):
+        for j, y in enumerate(v2):
+            try:
+                q = replace(p, **{axis1.name: float(x), axis2.name: float(y)})
+                values[i, j] = _metric_for(q, model, metric)
+            except (ValueError, ModelDomainError):
+                pass
+    return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values,
+                     valid=np.isfinite(values))
 
 
 # --- descent ---------------------------------------------------------------
@@ -470,48 +434,23 @@ def _project(
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
-def _resolve_duty(p: ConverterParams, target: float, tol: float = 1e-6) -> ConverterParams:
-    """Bisect the duty cycle so steady_output(p) hits ``target``."""
+def _resolve_duty(p: ConverterParams, target: float) -> ConverterParams:
+    """The duty cycle nearest ``p.d`` whose steady output is ``target``.
 
-    def gap(d: float) -> float:
-        return steady_output(replace(p, d=d)) - target
-
-    lo, hi = None, None
-    width = 0.02
-    d0 = p.d
-    g0 = gap(d0)
-    if abs(g0) <= tol:
-        return p
-    # expand a bracket around the current duty
-    for _ in range(60):
-        d_lo = max(1e-4, d0 - width)
-        d_hi = min(1.0 - 1e-4, d0 + width)
-        g_lo, g_hi = gap(d_lo), gap(d_hi)
-        if g_lo == 0.0:
-            return replace(p, d=d_lo)
-        if g_hi == 0.0:
-            return replace(p, d=d_hi)
-        if g_lo < 0.0 < g_hi:
-            lo, hi = d_lo, d_hi
-            break
-        if g_hi < 0.0 < g_lo:
-            lo, hi = d_hi, d_lo
-            break
-        width *= 1.6
-        if d_lo <= 1e-4 and d_hi >= 1.0 - 1e-4:
-            break
-    if lo is None:
+    With x = 1 - D, steady_output = V is the quadratic
+    x^2 [V(R0 + RC) + Vd R0] - x [Vi R0 + V RM] + V (RL + RM) = 0, whose
+    roots q/a and c/q (q = (b + sqrt(b^2 - 4ac))/2) carry no cancellation.
+    """
+    a = target * (p.r_0 + p.r_c) + p.v_d * p.r_0
+    b = p.v_i * p.r_0 + target * p.r_m
+    c = target * (p.r_l + p.r_m)
+    disc = b * b - 4.0 * a * c
+    q = 0.5 * (b + math.sqrt(disc)) if disc >= 0.0 else 0.0
+    roots = (q / a, c / q) if a > 0.0 and q > 0.0 else ()
+    duties = [d for d in (1.0 - x for x in roots) if 1e-4 < d < 1.0 - 1e-4]
+    if not duties:
         raise ConstraintInfeasible("no duty cycle reaches the target steady output")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        if abs(g) <= tol:
-            return replace(p, d=mid)
-        if g > 0:
-            hi = mid
-        else:
-            lo = mid
-    raise ConstraintInfeasible("duty bisection failed to converge")
+    return replace(p, d=min(duties, key=lambda d: abs(d - p.d)))
 
 
 def steepest_descent(

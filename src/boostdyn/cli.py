@@ -2,8 +2,10 @@
 
 One JSON config describes the converter, the disturbance, the solver grid
 and the output targets; subcommands map onto the library operations and
-emit CSV or JSON.  Exit codes: 0 success, 2 config or usage error,
-3 numeric or model-domain error.  Errors go to stderr as one JSON object.
+emit CSV or JSON.  Exit codes: 0 success, 1 any other (internal) error,
+2 config or usage error, 3 numeric or model-domain error.  Every error
+goes to stderr as one JSON object ``{"error", "message", "exit_code"}``
+and nothing to stdout; only argparse's own usage errors print text (exit 2).
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 from typing import Any, Optional
-
-import numpy as np
 
 from . import analysis
 from .circuit import (
@@ -121,19 +121,23 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def write_csv(path: Optional[str], header: list[str], rows: list[list[Any]]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
 
 
+def write_csv(path: Optional[str], header: list[str], rows: list[list[Any]]) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def write_waveform_csv(path: Optional[str], wave: Waveform) -> None:
-    rows = [[float(t), float(v)] for t, v in zip(wave.times, wave.samples)]
-    write_csv(path, ["t", "v"], rows)
+    """Two columns t,v with every value in full ``repr`` precision."""
+    rows = [f"{t!r},{v!r}\n" for t, v in zip(wave.times.tolist(), wave.samples.tolist())]
+    _write_text(path, "t,v\n" + "".join(rows))
 
 
 def _metrics_payload(model: str, m: ResponseMetrics) -> dict:
@@ -150,8 +154,8 @@ def _metrics_payload(model: str, m: ResponseMetrics) -> dict:
 def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
     p = parse_converter(cfg)
     event = parse_event(cfg, p)
-    metrics = analysis.closed_form_metrics(p, event, args.model)
-    payload = _metrics_payload(args.model, metrics)
+    solved = analysis.closed_form(p, event, args.model)
+    payload = _metrics_payload(args.model, solved.metrics)
     out = json.dumps(payload, indent=2, sort_keys=True)
     if args.out and args.format == "json":
         Path(args.out).write_text(out + "\n")
@@ -159,18 +163,9 @@ def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
         print(out)
     if args.waveform:
         solver = parse_solver(cfg, p)
-        t_end = solver["t_end"] or _default_t_end(p, event)
-        grid = Waveform(0.0, solver["dt"], np.zeros(int(round(t_end / solver["dt"])) + 1))
-        if event.kind is StepKind.INPUT_VOLTAGE:
-            wave = analysis._closed_form_line_waveform(p, event, grid, args.model)
-        else:
-            wave = analysis._closed_form_load_waveform(p, event, grid, args.model)
-        write_waveform_csv(args.waveform, wave)
+        t_end = solver["t_end"] or analysis.default_comparison_t_end(p, event)
+        write_waveform_csv(args.waveform, solved.waveform(event.t_event, solver["dt"], t_end))
     return 0
-
-
-def _default_t_end(p: ConverterParams, event: StepEvent) -> float:
-    return analysis.default_comparison_t_end(p, event)
 
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
@@ -178,7 +173,8 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     event = parse_event(cfg, p) if "event" in cfg else None
     solver = parse_solver(cfg, p)
     sim_p, initial, events = analysis.simulation_setup(p, event, "zero")
-    t_end = solver["t_end"] or (_default_t_end(p, event) if event else 40 * p.period)
+    t_end = solver["t_end"] or (
+        analysis.default_comparison_t_end(p, event) if event else 40 * p.period)
     if args.engine == "averaged":
         wave = simulate_averaged(
             sim_p, events, solver["dt"], t_end,
@@ -241,7 +237,7 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
             model=block.get("model", "tfm"),
             metric=block.get("metric", "v_max"),
         )
-    except analysis.UnsupportedAxisPair as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     header = [f"{axis1.name}\\{axis2.name}"] + [repr(float(v)) for v in axis2.values]
     rows = []
@@ -381,6 +377,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _emit_error(exc, 2)
     except ModelDomainError as exc:
         return _emit_error(exc, 3)
+    except Exception as exc:
+        return _emit_error(exc, 1)
 
 
 if __name__ == "__main__":

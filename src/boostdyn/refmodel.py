@@ -5,10 +5,7 @@ boost ratio, independent of the load."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .circuit import ConverterParams, StepEvent, StepKind, Waveform, validate_params
-from .steady import ideal_steady_output
+from .circuit import ConverterParams, validate_params
 from .tfm_line import SecondOrderTF, line_step_response
 
 
@@ -29,20 +26,3 @@ def fr_step_response(p: ConverterParams, k: float, t):
     """Baseline response to an input step of magnitude ``k``."""
     return line_step_response(fr_tf(p), k, t)
 
-
-def fr_stitched_load_waveform(
-    p: ConverterParams, event: StepEvent, dt: float, t_end: float
-) -> tuple[Waveform, tuple[str, ...]]:
-    """Baseline treatment of a load step: two steady segments joined at the
-    event with no transient at all.
-
-    The ideal steady value does not depend on the load, so both segments sit
-    at Vi/(1-D); the waveform is returned flagged so downstream comparisons
-    can label the missing transient.
-    """
-    if event.kind is not StepKind.LOAD_RESISTANCE:
-        raise ValueError("stitching applies to load steps only")
-    n = int(round(t_end / dt))
-    level = ideal_steady_output(p)
-    samples = np.full(n + 1, level)
-    return Waveform(t0=0.0, dt=dt, samples=samples), ("no-transient",)

@@ -216,6 +216,14 @@ def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
     return ExpModeSum(offset=scale * tf.dc_gain, modes=modes, stable=stable)
 
 
+def load_modes(p: ConverterParams, delta_r0: float) -> ExpModeSum:
+    """Corrected deviation modes of the load step ``delta_r0`` from the
+    steady state of ``p``; a zero step has no modes."""
+    if delta_r0 == 0.0:
+        return ExpModeSum(offset=0.0, modes=())
+    return invert_quartic_tf(load_tf_corrected(p, delta_r0))
+
+
 def load_response(p: ConverterParams, delta_r0: float, t):
     """Total output voltage during a load step: pre-step steady value plus
     the corrected deviation modes evaluated at ``t`` (seconds after the step)."""
@@ -224,26 +232,25 @@ def load_response(p: ConverterParams, delta_r0: float, t):
         raise NonFiniteTime("response requested at non-finite time")
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
-    base = steady_output(p)
-    if delta_r0 == 0.0:
-        out = np.full(t_arr.shape, base)
-        return float(out) if np.isscalar(t) else out
-    mode_sum = invert_quartic_tf(load_tf_corrected(p, delta_r0))
-    out = base + mode_sum.deviation(t_arr)
+    out = steady_output(p) + load_modes(p, delta_r0).deviation(t_arr)
     return float(out) if np.isscalar(t) else out
 
 
 def load_metrics(p: ConverterParams, delta_r0: float) -> ResponseMetrics:
-    """Settled value plus first transient extremum of the load response.
+    """Settled value plus first transient extremum of the load response."""
+    return mode_sum_metrics(steady_output(p), load_modes(p, delta_r0))
+
+
+def mode_sum_metrics(base: float, mode_sum: ExpModeSum) -> ResponseMetrics:
+    """Settled value plus first transient extremum of ``base`` plus the
+    deviation ``mode_sum``.
 
     Load increases peak above the settled value; decreases report the
     symmetric undershoot (negative overshoot_pct).  The extremum is found
     by bracketing the analytic slope of the mode sum and bisecting.
     """
-    base = steady_output(p)
-    if delta_r0 == 0.0:
+    if not mode_sum.modes:
         return ResponseMetrics(base, base, None, 0.0, flags=("no-peak",))
-    mode_sum = invert_quartic_tf(load_tf_corrected(p, delta_r0))
     v_steady = base + mode_sum.offset
     flags: tuple[str, ...] = () if mode_sum.stable else ("unstable-roots",)
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from boostdyn import StepEvent, StepKind, analysis, cli, simulate_switched
+from boostdyn import StepEvent, StepKind, Waveform, analysis, cli, simulate_switched
 
 CONVERTER_KEYS = ("v_i", "l", "r_l", "c", "r_c", "r_m", "v_d", "r_0", "d", "f_sw")
 AUDIT_KEYS = {"t0", "t1", "e_l", "e_c", "e_r", "e_vd", "e_rm", "e_rl", "e_rc", "residual", "flags"}
@@ -71,3 +71,61 @@ class TestSimulate:
         sim_p, initial, events = analysis.simulation_setup(fast_params, parsed, "zero")
         want = simulate_switched(sim_p, events, 200, t_end, initial_state=initial).v_out
         assert np.array_equal(v, want)
+
+
+class TestPredict:
+    def test_waveform_csv_is_the_closed_form_solve(self, line_params, tmp_path, capsys):
+        event = {"kind": "input_voltage", "value_before": 2.0, "value_after": line_params.v_i,
+                 "t_event": 1e-3}
+        config = write_config(tmp_path, line_params, event=event,
+                              solver={"dt": 1e-5, "t_end": 5e-3})
+        out = tmp_path / "wave.csv"
+        assert cli.main(["predict", "--model", "fr", "--config", config,
+                         "--waveform", str(out)]) == 0
+        solved = analysis.closed_form(
+            line_params, StepEvent(StepKind.INPUT_VOLTAGE, 2.0, line_params.v_i, 1e-3), "fr")
+        assert json.loads(capsys.readouterr().out)["v_max"] == solved.metrics.v_max
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 1], solved.waveform(1e-3, 1e-5, 5e-3).samples)
+        assert data[0, 1] == 2.0 / (1.0 - line_params.d)
+
+
+class TestErrorContract:
+    def test_unsupported_sweep_model_is_a_config_error(self, line_params, tmp_path, capsys):
+        axis = {"name": "l", "lo": 5e-4, "hi": 2e-3, "n": 3}
+        sweep = {"axis1": axis, "axis2": {**axis, "name": "c", "lo": 2e-5, "hi": 8e-5},
+                 "model": "fr"}
+        config = write_config(tmp_path, line_params, sweep=sweep)
+        assert cli.main(["sweep", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ConfigError", "exit_code": 2,
+            "message": "sweep models are the two closed forms: 'ebm' or 'tfm'"}
+
+    def test_internal_error_exits_one_with_one_json_line(self, line_params, tmp_path, capsys,
+                                                        monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(analysis, "closed_form", broken)
+        event = {"kind": "input_voltage", "value_before": 0.0, "value_after": line_params.v_i}
+        config = write_config(tmp_path, line_params, event=event)
+        assert cli.main(["predict", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "RuntimeError", "message": "boom", "exit_code": 1}
+
+
+class TestWaveformCsv:
+    def test_bytes_match_the_row_writer(self, tmp_path):
+        samples = np.array([0.0, 0.1 + 0.2, -1e-300, 5.0, 1.0 / 3.0, 12345.678901234567])
+        wave = Waveform(0.0, 1e-7, samples)
+        fast, rows = tmp_path / "fast.csv", tmp_path / "rows.csv"
+        cli.write_waveform_csv(str(fast), wave)
+        cli.write_csv(str(rows), ["t", "v"],
+                      [[float(t), float(v)] for t, v in zip(wave.times, wave.samples)])
+        assert fast.read_bytes() == rows.read_bytes()
+        assert fast.read_bytes().startswith(b"t,v\n0.0,0.0\n1e-07,0.30000000000000004\n")

@@ -2,11 +2,9 @@ import dataclasses
 import itertools
 import math
 
-import numpy as np
 import pytest
 
-from boostdyn.circuit import StepEvent, StepKind
-from boostdyn.refmodel import fr_step_response, fr_stitched_load_waveform, fr_tf
+from boostdyn.refmodel import fr_step_response, fr_tf
 from boostdyn.tfm_line import line_peak_voltage, line_tf_coefficients
 
 
@@ -63,17 +61,3 @@ class TestFrStepResponse:
             over_tfm = line_peak_voltage(tf, p.v_i) / steady - 1.0
             assert over_fr >= over_tfm
 
-
-class TestStitchedLoad:
-    def test_flat_and_flagged(self, load_params):
-        event = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0, 5e-3)
-        wave, flags = fr_stitched_load_waveform(load_params, event, 1e-5, 0.02)
-        assert "no-transient" in flags
-        level = load_params.v_i / (1.0 - load_params.d)
-        assert np.allclose(wave.samples, level)
-        assert len(wave) == int(round(0.02 / 1e-5)) + 1
-
-    def test_rejects_input_events(self, load_params):
-        event = StepEvent(StepKind.INPUT_VOLTAGE, 0.0, 5.0)
-        with pytest.raises(ValueError):
-            fr_stitched_load_waveform(load_params, event, 1e-5, 0.02)
