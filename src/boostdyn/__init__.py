@@ -24,7 +24,6 @@ from .ebm import (
     to_standard_form,
 )
 from .tfm_line import (
-    DampedSinusoidParams,
     SecondOrderTF,
     line_peak_time,
     line_peak_voltage,

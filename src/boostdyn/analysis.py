@@ -350,7 +350,11 @@ class SweepGrid:
     axis2: SweepAxis
     metric: str
     values: np.ndarray   # shape (axis1.n, axis2.n)
-    valid: np.ndarray    # bool mask, same shape
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Bool mask of the cells that hold a value."""
+        return np.isfinite(self.values)
 
 
 def _metric_for(p: ConverterParams, model: str, metric: str) -> float:
@@ -393,8 +397,7 @@ def sweep(
                 values[i, j] = _metric_for(q, model, metric)
             except (ValueError, ModelDomainError):
                 pass
-    return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values,
-                     valid=np.isfinite(values))
+    return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values)
 
 
 # --- descent ---------------------------------------------------------------

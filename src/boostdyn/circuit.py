@@ -8,9 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+#: |slope| at which a first-extremum bisection stops, in units of the
+#: caller's rate times its amplitude
+PEAK_SLOPE_TOL = 1e-9
 
 
 class ModelDomainError(Exception):
@@ -162,3 +166,38 @@ class ResponseMetrics:
     t_p: Optional[float]
     overshoot_pct: float
     flags: tuple[str, ...] = field(default=())
+
+
+def _first_crossing(
+    slope: Callable, ts: np.ndarray, tol: float, rising: Optional[bool]
+) -> Optional[float]:
+    """First time at which ``slope`` leaves its sign, or None.
+
+    The sign is positive for ``rising`` True, negative for False, and for
+    None that of the first non-zero sample after ``ts[0]``.  The sampled
+    slope brackets the first interval of ``ts`` where it goes from that
+    sign to zero or the other, and bisection refines it until
+    |slope| < ``tol``.  ``slope`` takes an array or a scalar time.
+    """
+    s = slope(ts)
+    if rising is None:
+        moving = s[1:][s[1:] != 0.0]
+        if moving.size == 0:
+            return None
+        rising = bool(moving[0] > 0.0)
+    if not rising:
+        s = -s
+    hits = np.flatnonzero((s[:-1] > 0.0) & (s[1:] <= 0.0))
+    if hits.size == 0:
+        return None
+    lo, hi = float(ts[hits[0]]), float(ts[hits[0] + 1])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        s_mid = slope(mid)
+        if abs(s_mid) < tol:
+            return mid
+        if (s_mid > 0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

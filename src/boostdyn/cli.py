@@ -1,11 +1,13 @@
 """Command-line front end.
 
 One JSON config describes the converter, the disturbance, the solver grid
-and the output targets; subcommands map onto the library operations and
-emit CSV or JSON.  Exit codes: 0 success, 1 any other (internal) error,
-2 config or usage error, 3 numeric or model-domain error.  Every error
-goes to stderr as one JSON object ``{"error", "message", "exit_code"}``
-and nothing to stdout; only argparse's own usage errors print text (exit 2).
+and the output targets; subcommands map onto the library operations.
+``predict`` and ``audit`` emit JSON, the others CSV, each to ``--out`` if
+given and to stdout otherwise.  Exit codes: 0 success, 1 any other
+(internal) error, 2 config or usage error, 3 numeric or model-domain
+error.  Every error goes to stderr as one JSON object
+``{"error", "message", "exit_code"}`` and nothing to stdout; only
+argparse's own usage errors print text (exit 2).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class ConfigError(ValueError):
 _CONVERTER_KEYS = {"v_i", "l", "r_l", "c", "r_c", "r_m", "v_d", "r_0", "d", "f_sw"}
 _EVENT_KEYS = {"kind", "value_before", "value_after", "t_event"}
 _SOLVER_KEYS = {"dt", "t_end", "steps_per_cycle"}
-_OUTPUT_KEYS = {"path", "format"}
 _SWEEP_KEYS = {"axis1", "axis2", "model", "metric"}
 _AXIS_KEYS = {"name", "lo", "hi", "n", "log"}
 _DESCENT_KEYS = {"free", "constraint", "max_steps", "model", "r_l_budget"}
@@ -156,11 +157,7 @@ def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
     event = parse_event(cfg, p)
     solved = analysis.closed_form(p, event, args.model)
     payload = _metrics_payload(args.model, solved.metrics)
-    out = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out and args.format == "json":
-        Path(args.out).write_text(out + "\n")
-    else:
-        print(out)
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.waveform:
         solver = parse_solver(cfg, p)
         t_end = solver["t_end"] or analysis.default_comparison_t_end(p, event)
@@ -240,11 +237,12 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     header = [f"{axis1.name}\\{axis2.name}"] + [repr(float(v)) for v in axis2.values]
+    valid = grid.valid
     rows = []
     for i, v1 in enumerate(axis1.values):
         row: list[Any] = [float(v1)]
         for j in range(axis2.n):
-            row.append(float(grid.values[i, j]) if grid.valid[i, j] else "invalid")
+            row.append(float(grid.values[i, j]) if valid[i, j] else "invalid")
         rows.append(row)
     write_csv(args.out, header, rows)
     return 0
@@ -309,11 +307,7 @@ def cmd_audit(cfg: dict, args: argparse.Namespace) -> int:
         "residual": breakdown.residual,
         "flags": list(trace.flags),
     }
-    out = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(out + "\n")
-    else:
-        print(out)
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -327,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("predict", help="closed-form metrics for one event")
     add_common(sp)

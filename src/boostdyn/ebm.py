@@ -6,20 +6,28 @@ The averaged output voltage obeys
 
 with m0 = (1-D)^2 + [(1-D)^2 RC + RL + D RM]/R0.  Casting into the standard
 damped-oscillator form gives the closed-form step response evaluated here.
+That form, ``SecondOrderForm``, is the one two-pole step response of the
+package: the line TFM and the FR baseline build it from their transfer
+functions (``tfm_line.step_form``) and evaluate it with ``ebm_response``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .circuit import ConverterParams, NonFiniteTime, ResponseMetrics, validate_params
+from .circuit import (
+    PEAK_SLOPE_TOL,
+    ConverterParams,
+    NonFiniteTime,
+    ResponseMetrics,
+    _first_crossing,
+    validate_params,
+)
 from .steady import steady_output
-
-#: |dv/dt| threshold for peak bisection, in units of omega0 * |v_inf|.
-PEAK_SLOPE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,9 +183,10 @@ def load_step_form(p: ConverterParams, r_before: float, r_after: float) -> Secon
 def ebm_metrics(form: SecondOrderForm) -> ResponseMetrics:
     """Steady value plus first transient extremum of the response.
 
-    The first zero of the analytic slope is bracketed by scanning one full
-    damped period (a multiple of the decay time for non-oscillatory forms)
-    and refined by bisection until |dv/dt| < PEAK_SLOPE_TOL * omega0 * |v_inf|.
+    The first positive-to-negative zero of the analytic slope is bracketed
+    on 257 samples over one full damped period (20/omega0 for
+    non-oscillatory forms) and refined by bisection until
+    |dv/dt| < PEAK_SLOPE_TOL * omega0 * |v_inf| (``circuit._first_crossing``).
     Monotone responses report v_max = v_inf with t_p absent.
     """
     vinf = form.v_inf
@@ -189,37 +198,15 @@ def ebm_metrics(form: SecondOrderForm) -> ResponseMetrics:
         t_hi = 2.0 * math.pi / form.omega_d
     else:
         t_hi = 20.0 / form.omega0
-    bracket = _bracket_slope_sign_change(form, t_hi)
     flags: tuple[str, ...] = ("overdamped",) if form.overdamped else ()
-    if bracket is None:
-        return ResponseMetrics(vinf, vinf, None, 0.0, flags=flags + ("no-peak",))
-
-    lo, hi = bracket
     tol = PEAK_SLOPE_TOL * form.omega0 * max(abs(vinf), 1e-30)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s = response_slope(form, mid)
-        if abs(s) < tol:
-            lo = hi = mid
-            break
-        if s > 0:
-            lo = mid
-        else:
-            hi = mid
-    t_p = 0.5 * (lo + hi)
+    t_p = _first_crossing(partial(response_slope, form), np.linspace(0.0, t_hi, 257),
+                          tol, rising=True)
+    if t_p is None:
+        return ResponseMetrics(vinf, vinf, None, 0.0, flags=flags + ("no-peak",))
     v_max = float(ebm_response(form, t_p))
     overshoot = 100.0 * (v_max - vinf) / vinf if vinf != 0 else 0.0
     return ResponseMetrics(vinf, v_max, t_p, overshoot, flags=flags)
-
-
-def _bracket_slope_sign_change(form: SecondOrderForm, t_hi: float, n: int = 256):
-    """First positive-to-negative slope crossing in (0, t_hi], or None."""
-    ts = np.linspace(0.0, t_hi, n + 1)
-    slopes = response_slope(form, ts)
-    for k in range(1, n + 1):
-        if slopes[k - 1] > 0.0 and slopes[k] <= 0.0:
-            return float(ts[k - 1]), float(ts[k])
-    return None
 
 
 def inductor_peak_current(

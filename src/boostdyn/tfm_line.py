@@ -5,8 +5,10 @@ transfer function from input voltage to output voltage,
 
     G(s) = (d_num s + f_num) / (a s^2 + b s + c),
 
-whose DC gain f_num/c matches the corrected steady-state ratio.  The step
-response, first peak time and peak voltage are evaluated in closed form.
+whose DC gain f_num/c matches the corrected steady-state ratio.  A step
+response goes through the energy model's two-pole form
+(``ebm.SecondOrderForm``, built by ``step_form``); the first peak time and
+peak voltage of an underdamped TF are evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .circuit import ConverterParams, ModelDomainError, NonFiniteTime, validate_params
+from .circuit import ConverterParams, ModelDomainError, validate_params
+from .ebm import OdeCoefficients, SecondOrderForm, ebm_response, to_standard_form
 
 
 class ZeroInputVoltage(ModelDomainError):
@@ -53,18 +54,6 @@ class SecondOrderTF:
         return (self.d_num * s + self.f_num) / (self.a * s * s + self.b * s + self.c)
 
 
-@dataclass(frozen=True)
-class DampedSinusoidParams:
-    """Residue components, decay rate, frequency and phase of the unit step
-    response written as  f/c - 2 sqrt(A^2+B^2) e^{-Et} sin(Ft + phi)."""
-
-    A: float
-    B: float
-    E: float
-    F: float
-    phi: float
-
-
 def line_tf_coefficients(p: ConverterParams) -> SecondOrderTF:
     """Coefficients of the input-to-output transfer function."""
     validate_params(p)
@@ -81,61 +70,16 @@ def line_tf_coefficients(p: ConverterParams) -> SecondOrderTF:
     return SecondOrderTF(a=a, b=b, c=c, d_num=d_num, f_num=f_num)
 
 
-def damped_sinusoid_params(tf: SecondOrderTF) -> DampedSinusoidParams:
-    """Partial-fraction parameters of the underdamped unit step response.
-
-    The phase uses the two-argument arctangent of (A, B) so a negative
-    bf - 2cd lands in the correct quadrant.
-    """
-    disc = tf.discriminant
-    if disc <= 0:
-        raise OverdampedTF("4ac - b^2 must be positive")
-    root = math.sqrt(disc)
-    a_res = tf.f_num / (2.0 * tf.c)
-    b_res = (tf.b * tf.f_num - 2.0 * tf.c * tf.d_num) / (2.0 * tf.c * root)
-    return DampedSinusoidParams(
-        A=a_res,
-        B=b_res,
-        E=tf.b / (2.0 * tf.a),
-        F=root / (2.0 * tf.a),
-        phi=math.atan2(a_res, b_res),
-    )
+def step_form(tf: SecondOrderTF, k: float) -> SecondOrderForm:
+    """Two-pole form of a step of height ``k`` through ``tf`` from rest:
+    a y'' + b y' + c y = f k with y(0) = 0 and y'(0) = k d / a."""
+    coeffs = OdeCoefficients(m2=tf.a, m1=tf.b, m0=tf.c, forcing=tf.f_num * k)
+    return to_standard_form(coeffs, v0=0.0, dv0=k * tf.d_num / tf.a)
 
 
 def line_step_response(tf: SecondOrderTF, k: float, t):
-    """Response to a step of magnitude ``k`` applied at t = 0.
-
-    Underdamped systems use the damped-sinusoid closed form; real-pole
-    systems fall back to two-exponential (or critically damped) inversion.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise NonFiniteTime("response requested at non-finite time")
-    if tf.is_underdamped:
-        par = damped_sinusoid_params(tf)
-        amp = 2.0 * math.hypot(par.A, par.B)
-        out = k * (
-            tf.f_num / tf.c
-            - amp * np.exp(-par.E * t_arr) * np.sin(par.F * t_arr + par.phi)
-        )
-    else:
-        out = _real_pole_step_response(tf, k, t_arr)
-    return float(out) if np.isscalar(t) else out
-
-
-def _real_pole_step_response(tf: SecondOrderTF, k: float, t_arr: np.ndarray):
-    a, b, c, d, f = tf.a, tf.b, tf.c, tf.d_num, tf.f_num
-    disc = b * b - 4.0 * a * c
-    if disc == 0.0:
-        x = b / (2.0 * a)
-        return k * (f / c - (f / c) * np.exp(-x * t_arr)
-                    + (d * x - f) / (a * x) * t_arr * np.exp(-x * t_arr))
-    root = math.sqrt(disc)
-    x1 = (b + root) / (2.0 * a)
-    x2 = (b - root) / (2.0 * a)
-    r1 = (-d * x1 + f) / (a * x1 * x1 - c)
-    r2 = (-d * x2 + f) / (a * x2 * x2 - c)
-    return k * (f / c + r1 * np.exp(-x1 * t_arr) + r2 * np.exp(-x2 * t_arr))
+    """Response to a step of magnitude ``k`` applied at t = 0."""
+    return ebm_response(step_form(tf, k), t)
 
 
 def line_peak_time(tf: SecondOrderTF) -> float:

@@ -5,7 +5,9 @@ to the output-voltage deviation, scaled by the pre-step output-side
 current.  An empirical bracket, fit near the reference operating region,
 rescales the denominator dynamics; the DC coefficient pair is untouched so
 the settled value is correction-independent.  Inversion is classical
-partial fractions over the four denominator roots plus the DC offset.
+partial fractions over the four denominator roots plus the DC offset; the
+first extremum of the inverted response comes from the same slope scan and
+bisection as the energy model's peak (``circuit._first_crossing``).
 """
 
 from __future__ import annotations
@@ -16,12 +18,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuit import ConverterParams, ModelDomainError, NonFiniteTime, ResponseMetrics, validate_params
+from .circuit import (
+    PEAK_SLOPE_TOL,
+    ConverterParams,
+    ModelDomainError,
+    NonFiniteTime,
+    ResponseMetrics,
+    _first_crossing,
+    validate_params,
+)
 from .polyroots import all_roots, pair_conjugates
 from .steady import steady_inductor_current, steady_output
-
-#: |slope| threshold for extremum bisection, relative to decay rate * offset
-PEAK_SLOPE_TOL = 1e-9
 
 #: relative root separation at or below which two roots count as one: a double
 #: root is resolved only to ~sqrt(eps) = 1.5e-8 of its magnitude, so 1e-6 sits
@@ -246,8 +253,9 @@ def mode_sum_metrics(base: float, mode_sum: ExpModeSum) -> ResponseMetrics:
     deviation ``mode_sum``.
 
     Load increases peak above the settled value; decreases report the
-    symmetric undershoot (negative overshoot_pct).  The extremum is found
-    by bracketing the analytic slope of the mode sum and bisecting.
+    symmetric undershoot (negative overshoot_pct).  The extremum is the
+    first sign change of the analytic slope of the mode sum away from its
+    first non-zero sampled sign, bracketed on the scan below and bisected.
     """
     if not mode_sum.modes:
         return ResponseMetrics(base, base, None, 0.0, flags=("no-peak",))
@@ -259,46 +267,12 @@ def mode_sum_metrics(base: float, mode_sum: ExpModeSum) -> ResponseMetrics:
     # at most a quarter period of the fastest ringing mode per scan step
     fastest = max(abs(r.imag) for _, r in mode_sum.modes)
     n_scan = max(512, math.ceil(2.0 * t_hi * fastest / math.pi))
-    bracket = _bracket_extremum(mode_sum, t_hi, n_scan)
-    if bracket is None:
-        return ResponseMetrics(v_steady, v_steady, None, 0.0, flags=flags + ("no-peak",))
-    lo, hi, rising = bracket
     rate = max(abs(r.real) + abs(r.imag) for _, r in mode_sum.modes)
     tol = PEAK_SLOPE_TOL * rate * max(abs(mode_sum.offset), 1e-30)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s = mode_sum.deviation_slope(mid)
-        if abs(s) < tol:
-            lo = hi = mid
-            break
-        if (s > 0) == rising:
-            lo = mid
-        else:
-            hi = mid
-    t_p = 0.5 * (lo + hi)
+    t_p = _first_crossing(mode_sum.deviation_slope, np.linspace(0.0, t_hi, n_scan + 1),
+                          tol, rising=None)
+    if t_p is None:
+        return ResponseMetrics(v_steady, v_steady, None, 0.0, flags=flags + ("no-peak",))
     v_ext = base + float(mode_sum.deviation(t_p))
     overshoot = 100.0 * (v_ext - v_steady) / v_steady if v_steady != 0 else 0.0
     return ResponseMetrics(v_steady, v_ext, t_p, overshoot, flags=flags)
-
-
-def _bracket_extremum(mode_sum: ExpModeSum, t_hi: float, n: int):
-    """First slope sign change away from the initial direction, or None.
-
-    Returns (lo, hi, rising) where ``rising`` records the pre-crossing sign.
-    """
-    ts = np.linspace(0.0, t_hi, n + 1)
-    slopes = mode_sum.deviation_slope(ts)
-    start = None
-    for k in range(1, n + 1):
-        if slopes[k] != 0.0:
-            start = slopes[k] > 0.0
-            break
-    if start is None:
-        return None
-    for k in range(1, n + 1):
-        prev, cur = slopes[k - 1], slopes[k]
-        if start and prev > 0.0 and cur <= 0.0:
-            return float(ts[k - 1]), float(ts[k]), True
-        if not start and prev < 0.0 and cur >= 0.0:
-            return float(ts[k - 1]), float(ts[k]), False
-    return None

@@ -119,6 +119,12 @@ class TestSweep:
         assert not grid.valid[beyond].any()
         assert grid.valid[~beyond].all()
 
+    def test_mask_is_derived_from_the_values(self, line_params):
+        grid = analysis.sweep(line_params, self.AXIS_L, analysis.SweepAxis("c", 2e-5, 8e-5, 3))
+        assert "valid" not in {f.name for f in dataclasses.fields(grid)}
+        grid.values[1, 2] = np.nan
+        assert np.array_equal(grid.valid, np.isfinite(grid.values))
+
     def test_cells_are_the_scalar_closed_form(self, line_params):
         axis_c = analysis.SweepAxis("c", 20e-6, 80e-6, 3)
         grid = analysis.sweep(line_params, self.AXIS_L, axis_c, metric="t_p")

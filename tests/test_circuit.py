@@ -10,6 +10,7 @@ from boostdyn.circuit import (
     StepEvent,
     StepKind,
     Waveform,
+    _first_crossing,
     validate_params,
 )
 
@@ -112,3 +113,25 @@ class TestWaveform:
         w = Waveform(t0=0.0, dt=1.0, samples=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             w.samples[0] = 5.0
+
+
+class TestFirstCrossing:
+    TS = np.linspace(0.0, 10.0, 101)
+
+    def test_rising_finds_the_first_maximum(self):
+        t = _first_crossing(np.cos, self.TS, 1e-12, rising=True)
+        assert t == pytest.approx(np.pi / 2, abs=1e-11)
+
+    def test_falling_finds_the_first_minimum(self):
+        t = _first_crossing(lambda t: -np.cos(t), self.TS, 1e-12, rising=False)
+        assert t == pytest.approx(np.pi / 2, abs=1e-11)
+
+    def test_none_takes_the_first_non_zero_sampled_sign(self):
+        # sin(t) is 0 at t = 0 and negative just after: the first minimum
+        t = _first_crossing(lambda t: -np.sin(t), self.TS, 1e-12, rising=None)
+        assert t == pytest.approx(np.pi, abs=1e-11)
+
+    def test_no_crossing_in_the_scan(self):
+        assert _first_crossing(np.exp, self.TS, 1e-12, rising=True) is None
+        assert _first_crossing(np.exp, self.TS, 1e-12, rising=False) is None
+        assert _first_crossing(np.zeros_like, self.TS, 1e-12, rising=None) is None

@@ -89,6 +89,33 @@ class TestPredict:
         assert np.array_equal(data[:, 1], solved.waveform(1e-3, 1e-5, 5e-3).samples)
         assert data[0, 1] == 2.0 / (1.0 - line_params.d)
 
+    def test_out_file_receives_the_json_and_stdout_nothing(self, line_params, tmp_path, capsys):
+        event = {"kind": "input_voltage", "value_before": 0.0, "value_after": line_params.v_i}
+        config = write_config(tmp_path, line_params, event=event)
+        assert cli.main(["predict", "--config", config]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "metrics.json"
+        assert cli.main(["predict", "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        assert json.loads(printed)["model"] == "tfm"
+
+
+class TestSweep:
+    def test_csv_marks_invalid_cells(self, line_params, tmp_path):
+        sweep = {"axis1": {"name": "d", "lo": 0.5, "hi": 1.2, "n": 4},
+                 "axis2": {"name": "l", "lo": 5e-4, "hi": 2e-3, "n": 3}}
+        config = write_config(tmp_path, line_params, sweep=sweep)
+        out = tmp_path / "grid.csv"
+        assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+        grid = analysis.sweep(line_params, analysis.SweepAxis("d", 0.5, 1.2, 4),
+                              analysis.SweepAxis("l", 5e-4, 2e-3, 3))
+        cells = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+        want = [[repr(float(v)) if ok else "invalid" for v, ok in zip(row, mask)]
+                for row, mask in zip(grid.values, grid.valid)]
+        assert cells == want
+        assert want[-1] == ["invalid"] * 3 and "invalid" not in want[0]
+
 
 class TestErrorContract:
     def test_unsupported_sweep_model_is_a_config_error(self, line_params, tmp_path, capsys):
@@ -102,6 +129,26 @@ class TestErrorContract:
         assert json.loads(captured.err) == {
             "error": "ConfigError", "exit_code": 2,
             "message": "sweep models are the two closed forms: 'ebm' or 'tfm'"}
+
+    def test_format_option_is_refused(self, line_params, tmp_path):
+        event = {"kind": "input_voltage", "value_before": 0.0, "value_after": line_params.v_i}
+        config = write_config(tmp_path, line_params, event=event)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", "--config", config, "--format", "json"])
+        assert exc.value.code == 2
+
+    def test_correction_out_of_domain_exits_three(self, load_params, tmp_path, capsys):
+        p = dataclasses.replace(load_params, l=2e-3)
+        event = {"kind": "load_resistance", "value_before": p.r_0, "value_after": 150.0}
+        config = write_config(tmp_path, p, event=event)
+        assert cli.main(["predict", "--config", config]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["error"], payload["exit_code"]) == ("CorrectionOutOfDomain", 3)
+        assert set(payload) == {"error", "message", "exit_code"}
 
     def test_internal_error_exits_one_with_one_json_line(self, line_params, tmp_path, capsys,
                                                         monkeypatch):

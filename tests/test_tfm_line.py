@@ -13,11 +13,11 @@ from boostdyn.tfm_line import (
     OverdampedTF,
     SecondOrderTF,
     ZeroInputVoltage,
-    damped_sinusoid_params,
     line_peak_time,
     line_peak_voltage,
     line_step_response,
     line_tf_coefficients,
+    step_form,
 )
 
 
@@ -92,8 +92,8 @@ class TestStepResponse:
 
     def test_final_value(self, line_params):
         tf = line_tf_coefficients(line_params)
-        par = damped_sinusoid_params(tf)
-        t_long = 14.0 / par.E
+        decay = tf.b / (2.0 * tf.a)
+        t_long = 14.0 / decay
         assert line_step_response(tf, 3.3, t_long) == pytest.approx(
             3.3 * tf.dc_gain, rel=1e-5
         )
@@ -130,6 +130,22 @@ class TestStepResponse:
         assert np.max(np.abs(wave.samples - analytic)) < 1e-6 * tf.dc_gain
 
 
+class TestStepForm:
+    def test_initial_conditions_and_final_value(self, line_params):
+        tf = line_tf_coefficients(line_params)
+        form = step_form(tf, 2.5)
+        assert (form.v0, form.dv0) == (0.0, 2.5 * tf.d_num / tf.a)
+        assert form.v_inf == pytest.approx(2.5 * tf.dc_gain, rel=1e-15)
+        assert form.omega0 == pytest.approx(math.sqrt(tf.c / tf.a), rel=1e-15)
+        assert form.xi == pytest.approx(tf.b / (2.0 * math.sqrt(tf.a * tf.c)), rel=1e-15)
+
+    def test_damping_branch_follows_the_discriminant(self, line_params):
+        under = line_tf_coefficients(line_params)
+        over = line_tf_coefficients(params(l=5e-5, r_l=4.0, r_c=0.2))
+        assert not step_form(under, 1.0).overdamped
+        assert step_form(over, 1.0).overdamped
+
+
 class TestPeak:
     def test_peak_time_against_dense_sampling(self, line_params):
         tf = line_tf_coefficients(line_params)
@@ -143,8 +159,8 @@ class TestPeak:
 
     def test_undamped_limit_is_half_period(self):
         tf = SecondOrderTF(a=1.0, b=1e-9, c=4.0, d_num=0.0, f_num=1.0)
-        par = damped_sinusoid_params(tf)
-        assert line_peak_time(tf) == pytest.approx(math.pi / par.F, rel=1e-6)
+        omega_d = math.sqrt(4.0 * tf.a * tf.c - tf.b**2) / (2.0 * tf.a)
+        assert line_peak_time(tf) == pytest.approx(math.pi / omega_d, rel=1e-6)
 
     def test_peak_time_consistent_with_energy_model(self, line_params):
         tf = line_tf_coefficients(line_params)
@@ -197,5 +213,5 @@ class TestPeak:
         rng = np.random.default_rng(7)
         for _ in range(200):
             tf = random_underdamped(rng)
-            resp = line_step_response(tf, 1.0, 20.0 / damped_sinusoid_params(tf).E)
+            resp = line_step_response(tf, 1.0, 20.0 / (tf.b / (2.0 * tf.a)))
             assert resp == pytest.approx(tf.dc_gain, rel=1e-6)
