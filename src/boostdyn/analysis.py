@@ -242,35 +242,31 @@ def compare_models(
     p: ConverterParams,
     event: StepEvent,
     reference: str = "switched",
-    dt: Optional[float] = None,
     t_end: Optional[float] = None,
     steps_per_cycle: int = 200,
 ) -> ComparisonTable:
     """One row per model: closed forms, both averaged oracles and the
     switched oracle, each with metrics and errors against the reference.
 
+    Every waveform is sampled every ``p.period / steps_per_cycle``.
     ``reference`` is a row name or "aer" to score against the embedded
     measured scalars (no waveform, so no rmse in that mode).
     """
     validate_params(p)
-    period = p.period
     if t_end is None:
         t_end = default_comparison_t_end(p, event)
-    if dt is None:
-        dt = period / steps_per_cycle
+    dt = p.period / steps_per_cycle
 
     sim_p, initial, events = simulation_setup(p, event)
     trace = simulate_switched(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
 
     waveforms: dict[str, Waveform] = {}
     metrics: dict[str, ResponseMetrics] = {}
-    flags: dict[str, tuple[str, ...]] = {}
 
     for model in ("ebm", "tfm", "fr"):
         solved = closed_form(p, event, model)
         waveforms[model] = solved.waveform(event.t_event, dt, t_end)
         metrics[model] = solved.metrics
-        flags[model] = solved.metrics.flags
 
     for name, parasitics in (("avg+par", True), ("avg-par", False)):
         wave = simulate_averaged(
@@ -278,11 +274,9 @@ def compare_models(
         )
         waveforms[name] = wave
         metrics[name] = extract_metrics(wave, event.t_event)
-        flags[name] = ()
 
     cyc = trace.cycle_averaged()
-    metrics["switched"] = extract_metrics(cyc, event.t_event)
-    flags["switched"] = trace.flags
+    metrics["switched"] = replace(extract_metrics(cyc, event.t_event), flags=trace.flags)
     # switched rmse is computed on the cycle-averaged grid against resampled rows
     waveforms["switched"] = cyc
 
@@ -312,7 +306,7 @@ def compare_models(
                 steady_error_pct=error_percent(ref_steady, m.v_steady),
                 dynamic_error_pct=error_percent(ref_peak, m.v_max),
                 rmse_v=row_rmse,
-                flags=flags[model],
+                flags=m.flags,
             )
         )
     return ComparisonTable(event=event, reference=reference, rows=tuple(rows))
@@ -381,8 +375,8 @@ def sweep(
         raise UnsupportedAxisPair(f"axes must be drawn from {SWEEP_AXES}")
     if axis1.name == axis2.name:
         raise UnsupportedAxisPair("axes must differ")
-    if axis1.n > 512 or axis2.n > 512:
-        raise UnsupportedAxisPair("axis resolution capped at 512")
+    if not (1 <= axis1.n <= 512 and 1 <= axis2.n <= 512):
+        raise UnsupportedAxisPair("axis resolution must be 1 to 512 points")
     if model not in ("ebm", "tfm"):
         raise ValueError("sweep models are the two closed forms: 'ebm' or 'tfm'")
     if metric not in SWEEP_METRICS:

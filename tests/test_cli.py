@@ -4,10 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from boostdyn import StepEvent, StepKind, Waveform, analysis, cli, simulate_switched
+from boostdyn import (StepEvent, StepKind, Waveform, analysis, cli, simulate_switched,
+                      steady_output)
 
 CONVERTER_KEYS = ("v_i", "l", "r_l", "c", "r_c", "r_m", "v_d", "r_0", "d", "f_sw")
 AUDIT_KEYS = {"t0", "t1", "e_l", "e_c", "e_r", "e_vd", "e_rm", "e_rl", "e_rc", "residual", "flags"}
+
+
+def csv_cell(value):
+    """A CSV cell as the CLI writes it: floats by ``repr``, None empty."""
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
 def write_config(tmp_path, p, **blocks):
@@ -78,7 +84,7 @@ class TestPredict:
         event = {"kind": "input_voltage", "value_before": 2.0, "value_after": line_params.v_i,
                  "t_event": 1e-3}
         config = write_config(tmp_path, line_params, event=event,
-                              solver={"dt": 1e-5, "t_end": 5e-3})
+                              solver={"steps_per_cycle": 10, "t_end": 5e-3})
         out = tmp_path / "wave.csv"
         assert cli.main(["predict", "--model", "fr", "--config", config,
                          "--waveform", str(out)]) == 0
@@ -101,6 +107,42 @@ class TestPredict:
         assert json.loads(printed)["model"] == "tfm"
 
 
+class TestCompare:
+    def test_csv_is_the_library_table(self, fast_params, tmp_path):
+        event = {"kind": "load_resistance", "value_before": fast_params.r_0, "value_after": 40.0,
+                 "t_event": 2e-4}
+        config = write_config(tmp_path, fast_params, event=event)
+        out = tmp_path / "table.csv"
+        assert cli.main(["compare", "--config", config, "--out", str(out)]) == 0
+        table = analysis.compare_models(
+            fast_params, StepEvent(StepKind.LOAD_RESISTANCE, fast_params.r_0, 40.0, 2e-4))
+        want = ["model,v_steady,v_max,t_p,steady_error_pct,dynamic_error_pct,rmse,flags"]
+        want += [",".join(csv_cell(v) for v in (r.model, r.v_steady, r.v_max, r.t_p,
+                                                r.steady_error_pct, r.dynamic_error_pct,
+                                                r.rmse_v, ";".join(r.flags)))
+                 for r in table.rows]
+        assert out.read_text() == "\n".join(want) + "\n"
+
+
+class TestDescend:
+    def test_held_steady_output_is_written_and_the_peak_falls(self, line_params, tmp_path):
+        descent = {"free": ["l", "c"], "constraint": "constant-steady-output", "max_steps": 4}
+        config = write_config(tmp_path, line_params, descent=descent)
+        out = tmp_path / "path.csv"
+        assert cli.main(["descend", "--config", config, "--out", str(out)]) == 0
+        path = analysis.steepest_descent(line_params, ["l", "c"], "constant-steady-output", 4)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "step,l,c,v_max,steady_output"
+        assert lines[1:] == [
+            ",".join(csv_cell(v) for v in (k, s.params.l, s.params.c, s.v_max,
+                                           steady_output(s.params)))
+            for k, s in enumerate(path.steps)]
+        data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert data.shape[0] > 2
+        assert np.all(np.diff(data[:, 3]) < 0)
+        assert np.allclose(data[:, 4], steady_output(line_params), rtol=1e-9)
+
+
 class TestSweep:
     def test_csv_marks_invalid_cells(self, line_params, tmp_path):
         sweep = {"axis1": {"name": "d", "lo": 0.5, "hi": 1.2, "n": 4},
@@ -115,6 +157,59 @@ class TestSweep:
                 for row, mask in zip(grid.values, grid.valid)]
         assert cells == want
         assert want[-1] == ["invalid"] * 3 and "invalid" not in want[0]
+
+
+#: fast_params' own input step
+COLD = {"kind": "input_voltage", "value_before": 0.0, "value_after": 3.0}
+AXIS = {"name": "l", "lo": 5e-5, "hi": 2e-4, "n": 3}
+SWEEP = {"axis1": AXIS, "axis2": {"name": "c", "lo": 5e-6, "hi": 2e-5, "n": 2}}
+NAN = float("nan")
+
+#: (command, config blocks) of malformed configs that must exit 2
+MALFORMED = {
+    "event-not-an-object": ("predict", {"event": 5}),
+    "event-value-null": ("predict", {"event": {**COLD, "value_before": None}}),
+    "steps-per-cycle-text": ("simulate", {"solver": {"steps_per_cycle": "x"}}),
+    "t-end-text": ("simulate", {"solver": {"t_end": "x"}}),
+    "axis-n-text": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "n": "x"}}}),
+    "audit-t0-text": ("audit", {"audit": {"t0": "x"}}),
+    "steps-per-cycle-zero": ("simulate", {"solver": {"steps_per_cycle": 0}}),
+    "t-event-nan": ("simulate", {"event": {**COLD, "t_event": NAN}}),
+    "t-end-nan": ("simulate", {"solver": {"t_end": NAN}}),
+    "audit-t1-nan": ("audit", {"audit": {"t1": NAN}}),
+    "compare-t-end-negative": ("compare", {"event": COLD, "solver": {"t_end": -1}}),
+    "output-block": ("predict", {"event": COLD, "output": {"path": "x.json"}}),
+    "compare-solver-dt": ("compare", {"event": COLD, "solver": {"dt": 1e-7}}),
+    "t-end-zero": ("simulate", {"solver": {"t_end": 0}}),
+    "sweep-bound-nan": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "hi": NAN}}}),
+    "axis-n-zero": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "n": 0}}}),
+}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command, blocks", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_config_exits_two(self, fast_params, tmp_path, capsys, command, blocks):
+        config = write_config(tmp_path, fast_params, **blocks)
+        assert cli.main([command, "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "message", "exit_code"}
+        assert payload["exit_code"] == 2
+
+    def test_null_is_an_absent_key(self, line_params, tmp_path, capsys):
+        event = {"kind": "input_voltage", "value_before": 1.0, "value_after": line_params.v_i}
+        runs = []
+        for blocks in ({"event": event},
+                       {"event": {**event, "t_event": None}, "solver": {"t_end": None},
+                        "audit": None}):
+            config = write_config(tmp_path, line_params, **blocks)
+            out = tmp_path / "wave.csv"
+            assert cli.main(["predict", "--config", config, "--waveform", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_text()))
+        assert runs[0] == runs[1]
 
 
 class TestErrorContract:
