@@ -22,7 +22,6 @@ from .circuit import (
     StepEvent,
     StepKind,
     Waveform,
-    validate_params,
 )
 from .oracle import SwitchedTrace, simulate_averaged, simulate_switched
 from .steady import steady_output
@@ -81,14 +80,16 @@ def extract_metrics(w: Waveform, t_event: float) -> ResponseMetrics:
     vary by less than 0.5 percent; the peak is the post-event maximum
     sharpened by three-point quadratic interpolation.
     """
+    start = max(0, int(math.ceil((t_event - w.t0) / w.dt)))
+    seg = w.samples[start:]
+    if seg.size == 0:
+        raise ValueError(f"no sample lies after t_event = {t_event:g} s")
     tail = w.samples[-max(1, w.samples.size // 10):]
     mean = float(np.mean(tail))
     span = float(np.max(tail) - np.min(tail))
     if mean == 0 or span / abs(mean) >= 0.005:
         raise NotSettled("waveform tail varies by >= 0.5% of its mean")
 
-    start = max(0, int(math.ceil((t_event - w.t0) / w.dt)))
-    seg = w.samples[start:]
     k = int(np.argmax(seg))
     v_max = float(seg[k])
     t_max = w.t0 + (start + k) * w.dt
@@ -252,7 +253,6 @@ def compare_models(
     ``reference`` is a row name or "aer" to score against the embedded
     measured scalars (no waveform, so no rmse in that mode).
     """
-    validate_params(p)
     if t_end is None:
         t_end = default_comparison_t_end(p, event)
     dt = p.period / steps_per_cycle
@@ -367,8 +367,8 @@ def sweep(
     """Startup-overshoot response surface over two component axes.
 
     ``metric`` is one of SWEEP_METRICS, read off ``closed_form_metrics`` of
-    a cold start at each cell in turn.  Cells whose parameters fail
-    validation, land outside a model's domain or have no value (t_p of a
+    a cold start at each cell in turn.  Cells whose parameters make no
+    valid record, land outside a model's domain or have no value (t_p of a
     peak-free response) are NaN and marked invalid, never interpolated.
     """
     if axis1.name not in SWEEP_AXES or axis2.name not in SWEEP_AXES:
@@ -465,9 +465,8 @@ def steepest_descent(
     magnitudes and is halved until the (projected) step strictly lowers
     the peak.  Constraints are enforced by projection after every step.
     """
-    validate_params(p)
-    if not 2 <= len(free) <= 3:
-        raise ValueError("free must name two or three parameters")
+    if not 2 <= len(set(free)) == len(free) <= 3:
+        raise ValueError(f"free must name two or three distinct parameters, not {list(free)}")
     for name in free:
         if name not in SWEEP_AXES:
             raise UnsupportedAxisPair(f"{name!r} is not a sweepable parameter")
@@ -507,7 +506,6 @@ def steepest_descent(
                 for k, name in enumerate(free):
                     theta = getattr(cand, name)
                     cand = replace(cand, **{name: theta * math.exp(step_size * direction[k])})
-                validate_params(cand)
                 cand = _project(cand, constraint, target_steady, target_lc, budget)
                 v_cand = objective(cand)
             except (ValueError, ModelDomainError):
@@ -546,8 +544,6 @@ def scenario_predict(
 ) -> ScenarioPrediction:
     """Transfer-function prediction of a component change: same event, both
     parameter sets, with the overshoot reduction and steady-state cost."""
-    validate_params(before)
-    validate_params(after)
     return ScenarioPrediction(
         before=closed_form_metrics(before, event, "tfm"),
         after=closed_form_metrics(after, event, "tfm"),

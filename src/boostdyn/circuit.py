@@ -6,6 +6,7 @@ No implicit milli/micro scaling anywhere in the library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -42,6 +43,9 @@ class NonFiniteTime(ModelDomainError):
 class ConverterParams:
     """Full component set of the non-ideal Boost circuit.
 
+    A record that exists satisfies every invariant: building one that breaks
+    any, even by ``dataclasses.replace``, raises ParameterError naming all.
+
     v_i:   input voltage, V
     l:     inductance, H
     r_l:   inductor series resistance, ohm
@@ -65,6 +69,9 @@ class ConverterParams:
     d: float
     f_sw: float
 
+    def __post_init__(self) -> None:
+        validate_params(self)
+
     @property
     def period(self) -> float:
         return 1.0 / self.f_sw
@@ -74,7 +81,7 @@ def validate_params(p: ConverterParams) -> ConverterParams:
     """Return ``p`` unchanged if every invariant holds, else raise ParameterError.
 
     All violations are collected before raising so a caller sees every
-    problem at once. Validating an already-valid record is a no-op.
+    problem at once.  ``ConverterParams`` runs it on every record it builds.
     """
     violations: list[tuple[str, str]] = []
     for name in ("l", "c", "r_0", "f_sw"):
@@ -86,7 +93,7 @@ def validate_params(p: ConverterParams) -> ConverterParams:
     if not 0.0 < p.d < 1.0:
         violations.append(("DutyOutOfRange", "d"))
     for name in ("v_i", "l", "r_l", "c", "r_c", "r_m", "v_d", "r_0", "d", "f_sw"):
-        if not np.isfinite(getattr(p, name)):
+        if not math.isfinite(getattr(p, name)):
             violations.append(("NonFiniteValue", name))
     if violations:
         raise ParameterError(violations)
@@ -109,6 +116,9 @@ class StepEvent:
     t_event: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("value_before", "value_after", "t_event"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.t_event < 0:
             raise ValueError("t_event must be >= 0")
         if self.value_before < 0:

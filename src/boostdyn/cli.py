@@ -45,7 +45,6 @@ from .circuit import (
     StepEvent,
     StepKind,
     Waveform,
-    validate_params,
 )
 from .oracle import energy_audit, simulate_averaged, simulate_switched
 from .steady import steady_output
@@ -155,7 +154,7 @@ def _block(cfg: dict, name: str) -> dict:
 
 
 def parse_converter(cfg: dict) -> ConverterParams:
-    return validate_params(ConverterParams(**cfg["converter"]))
+    return ConverterParams(**cfg["converter"])
 
 
 def parse_event(cfg: dict, p: ConverterParams) -> StepEvent:

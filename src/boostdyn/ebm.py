@@ -25,7 +25,6 @@ from .circuit import (
     NonFiniteTime,
     ResponseMetrics,
     _first_crossing,
-    validate_params,
 )
 from .steady import steady_output
 
@@ -61,7 +60,6 @@ class SecondOrderForm:
 
 def ode_coefficients(p: ConverterParams, r_0: float | None = None) -> OdeCoefficients:
     """Build the averaged ODE coefficients, optionally at an overridden load."""
-    validate_params(p)
     r0 = p.r_0 if r_0 is None else r_0
     if r0 <= 0:
         raise ValueError("load resistance must be > 0")
@@ -218,7 +216,6 @@ def inductor_peak_current(
     the rate set by the source minus the conduction drops at the entry
     current.
     """
-    validate_params(p)
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     rate = (p.v_i - i_l_t0 * p.r_l - i_l_t0 * p.r_m) / p.l

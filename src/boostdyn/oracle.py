@@ -26,7 +26,6 @@ from .circuit import (
     StepEvent,
     StepKind,
     Waveform,
-    validate_params,
 )
 
 #: samples the averaged simulator holds states for at a time
@@ -210,7 +209,6 @@ def simulate_averaged(
     R0/(R0 + r_c) * (v_C + (1 - D) r_c i_L); parasitics off zeroes all four.
     Events swap the input voltage or the load at the nearest sample boundary.
     """
-    validate_params(p)
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
     dt_max = min(math.sqrt(p.l * p.c) / 100.0, 1.0 / (20.0 * p.f_sw))
@@ -279,7 +277,6 @@ def simulate_switched(
     the idle mode then runs until the output falls to v_i - v_d, where the
     diode conducts again.
     """
-    validate_params(p)
     if steps_per_cycle < 50:
         raise ValueError("steps_per_cycle must be >= 50")
     period = p.period

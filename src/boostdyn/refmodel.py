@@ -5,13 +5,12 @@ boost ratio, independent of the load."""
 
 from __future__ import annotations
 
-from .circuit import ConverterParams, validate_params
+from .circuit import ConverterParams
 from .tfm_line import SecondOrderTF, line_step_response
 
 
 def fr_tf(p: ConverterParams) -> SecondOrderTF:
     """Ideal second-order transfer function (1-D) / (LC s^2 + (L/R0) s + (1-D)^2)."""
-    validate_params(p)
     one_d = 1.0 - p.d
     return SecondOrderTF(
         a=p.l * p.c,

@@ -14,16 +14,7 @@ from __future__ import annotations
 import warnings
 from typing import NamedTuple
 
-from .circuit import (
-    ConverterParams,
-    DischargedSourceWarning,
-    ModelDomainError,
-    validate_params,
-)
-
-
-class DegenerateDenominator(ModelDomainError):
-    """Loss denominator collapsed to zero or below (cannot happen for valid params)."""
+from .circuit import ConverterParams, DischargedSourceWarning
 
 
 class InductorCurrents(NamedTuple):
@@ -46,10 +37,7 @@ def steady_output(p: ConverterParams) -> float:
     negative) the output is clamped at 0 V and a DischargedSourceWarning
     is emitted; the physical diode blocks reverse flow.
     """
-    validate_params(p)
     den = loss_denominator(p)
-    if den <= 0:
-        raise DegenerateDenominator(f"steady-state denominator {den} <= 0")
     q = (1.0 - p.d) ** 2
     num = p.v_i * (1.0 - p.d) * p.r_0 - p.v_d * q * p.r_0
     if num < 0:
@@ -69,10 +57,7 @@ def steady_inductor_current(p: ConverterParams) -> InductorCurrents:
     i_inductor the average inductor current; they differ by the off-phase
     fraction: i_out = (1-D) * i_inductor.
     """
-    validate_params(p)
     den = loss_denominator(p)
-    if den <= 0:
-        raise DegenerateDenominator(f"steady-state denominator {den} <= 0")
     one_d = 1.0 - p.d
     i_out = (one_d * p.v_i - one_d**2 * p.v_d) / den
     return InductorCurrents(i_out=i_out, i_inductor=i_out / one_d)
@@ -80,7 +65,6 @@ def steady_inductor_current(p: ConverterParams) -> InductorCurrents:
 
 def ideal_steady_output(p: ConverterParams) -> float:
     """Lossless boost ratio Vi / (1-D)."""
-    validate_params(p)
     return p.v_i / (1.0 - p.d)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import ConverterParams, ModelDomainError, validate_params
+from .circuit import ConverterParams, ModelDomainError
 from .ebm import OdeCoefficients, SecondOrderForm, ebm_response, to_standard_form
 
 
@@ -56,7 +56,6 @@ class SecondOrderTF:
 
 def line_tf_coefficients(p: ConverterParams) -> SecondOrderTF:
     """Coefficients of the input-to-output transfer function."""
-    validate_params(p)
     if p.v_i <= 0:
         raise ZeroInputVoltage("input voltage must be > 0 to place the diode correction")
     one_d = 1.0 - p.d

@@ -25,7 +25,6 @@ from .circuit import (
     NonFiniteTime,
     ResponseMetrics,
     _first_crossing,
-    validate_params,
 )
 from .polyroots import all_roots, pair_conjugates
 from .steady import steady_inductor_current, steady_output
@@ -152,7 +151,6 @@ def _raw_coefficients(p: ConverterParams, delta_r0: float):
 
 def load_tf_raw(p: ConverterParams, delta_r0: float) -> QuarticTF:
     """Quartic transfer function exactly as derived, no empirical correction."""
-    validate_params(p)
     if p.r_0 + delta_r0 <= 0:
         raise InvalidPostLoad("post-step load resistance must be > 0")
     den, num = _raw_coefficients(p, delta_r0)

@@ -58,6 +58,11 @@ class TestCompareModels:
         assert tuple(r.model for r in table.rows) == analysis.MODEL_ROWS
         assert "overdamped" in table.row("fr").flags
 
+    def test_event_past_the_horizon_is_named(self, load_params):
+        event = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0, t_event=0.05)
+        with pytest.raises(ValueError, match="t_event"):
+            analysis.compare_models(load_params, event, t_end=0.01)
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("model", ["ebm", "tfm", "fr"])
@@ -167,6 +172,10 @@ class TestSteepestDescent:
             target = steady_output(line_params)
             for step in path.steps:
                 assert steady_output(step.params) == pytest.approx(target, rel=1e-12)
+
+    def test_repeated_free_name_is_refused(self, line_params):
+        with pytest.raises(ValueError, match="distinct"):
+            analysis.steepest_descent(line_params, ["l", "l"])
 
 
 class TestResolveDuty:

@@ -20,6 +20,8 @@ def codes(err: ParameterError) -> set[tuple[str, str]]:
 
 
 class TestValidateParams:
+    """The invariants hold from construction: a bad record is never built."""
+
     def test_bench_values_pass(self, line_params):
         assert validate_params(line_params) is line_params
 
@@ -28,32 +30,41 @@ class TestValidateParams:
 
     @pytest.mark.parametrize("d", [0.0, 1.0, 1.2, -0.1])
     def test_duty_out_of_range(self, line_params, d):
-        bad = dataclasses.replace(line_params, d=d)
         with pytest.raises(ParameterError) as exc:
-            validate_params(bad)
+            dataclasses.replace(line_params, d=d)
         assert ("DutyOutOfRange", "d") in codes(exc.value)
 
     @pytest.mark.parametrize("field", ["l", "c", "r_0", "f_sw"])
     def test_zero_component(self, line_params, field):
-        bad = dataclasses.replace(line_params, **{field: 0.0})
         with pytest.raises(ParameterError) as exc:
-            validate_params(bad)
+            dataclasses.replace(line_params, **{field: 0.0})
         assert ("NonPositiveComponent", field) in codes(exc.value)
 
     @pytest.mark.parametrize("field", ["r_l", "r_c", "r_m", "v_d", "v_i"])
     def test_negative_parasitic(self, line_params, field):
-        bad = dataclasses.replace(line_params, **{field: -0.5})
         with pytest.raises(ParameterError) as exc:
-            validate_params(bad)
+            dataclasses.replace(line_params, **{field: -0.5})
         assert ("NegativeParasitic", field) in codes(exc.value)
 
-    def test_all_violations_reported_at_once(self, line_params):
-        bad = dataclasses.replace(line_params, l=0.0, d=1.5, r_c=-1.0)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value(self, line_params, value):
         with pytest.raises(ParameterError) as exc:
-            validate_params(bad)
+            dataclasses.replace(line_params, r_l=value)
+        assert ("NonFiniteValue", "r_l") in codes(exc.value)
+
+    def test_all_violations_reported_at_once(self, line_params):
+        with pytest.raises(ParameterError) as exc:
+            dataclasses.replace(line_params, l=0.0, d=1.5, r_c=-1.0)
         got = codes(exc.value)
         assert {("NonPositiveComponent", "l"), ("DutyOutOfRange", "d"),
                 ("NegativeParasitic", "r_c")} <= got
+        assert str(exc.value) == ("invalid converter parameters: NonPositiveComponent(l); "
+                                  "NegativeParasitic(r_c); DutyOutOfRange(d)")
+
+    def test_replace_refuses_a_full_duty(self, line_params):
+        # every derived record is checked: sweep cells, descent probes, load models
+        with pytest.raises(ParameterError):
+            dataclasses.replace(line_params, d=1.0)
 
     @given(
         l=st.floats(1e-5, 1e-1), c=st.floats(1e-7, 1e-3),
@@ -89,6 +100,14 @@ class TestStepEvent:
     def test_negative_before_rejected(self):
         with pytest.raises(ValueError):
             StepEvent(StepKind.INPUT_VOLTAGE, -1.0, 3.3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["value_before", "value_after", "t_event"])
+    def test_non_finite_values_rejected(self, field, bad):
+        values = {"value_before": 1.0, "value_after": 3.0, "t_event": 0.0, field: bad}
+        for kind in StepKind:
+            with pytest.raises(ValueError, match=field):
+                StepEvent(kind, **values)
 
 
 class TestWaveform:

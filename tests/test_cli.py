@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ class TestDescend:
         assert np.all(np.diff(data[:, 3]) < 0)
         assert np.allclose(data[:, 4], steady_output(line_params), rtol=1e-9)
 
+    def test_repeated_free_name_exits_two(self, line_params, tmp_path, capsys):
+        config = write_config(tmp_path, line_params, descent={"free": ["l", "l"]})
+        out = tmp_path / "path.csv"
+        assert cli.main(["descend", "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        payload = json.loads(captured.err)
+        assert (payload["error"], payload["exit_code"]) == ("ConfigError", 2)
+        assert "distinct" in payload["message"]
+
 
 class TestSweep:
     def test_csv_marks_invalid_cells(self, line_params, tmp_path):
@@ -224,6 +235,18 @@ class TestErrorContract:
         assert json.loads(captured.err) == {
             "error": "ConfigError", "exit_code": 2,
             "message": "sweep models are the two closed forms: 'ebm' or 'tfm'"}
+
+    def test_invalid_converter_names_every_violation(self, fast_params, tmp_path, capsys):
+        config = Path(write_config(tmp_path, fast_params, event=COLD))
+        cfg = json.loads(config.read_text())
+        cfg["converter"].update(d=1.0, l=0.0)
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["predict", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ParameterError", "exit_code": 2,
+            "message": "invalid converter parameters: NonPositiveComponent(l); DutyOutOfRange(d)"}
 
     def test_format_option_is_refused(self, line_params, tmp_path):
         event = {"kind": "input_voltage", "value_before": 0.0, "value_after": line_params.v_i}
