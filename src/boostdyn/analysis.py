@@ -143,11 +143,15 @@ class ClosedForm(NamedTuple):
     before: float
     after: Callable
 
+    def at(self, t: np.ndarray, t_event: float) -> np.ndarray:
+        """The output at the times ``t``: the pre-event level before
+        ``t_event``, the response from it on."""
+        post = self.after(np.clip(t - t_event, 0.0, None))
+        return np.where(t < t_event, self.before, post)
+
     def waveform(self, t_event: float, dt: float, t_end: float) -> Waveform:
         """The response sampled every ``dt`` from 0 to ``t_end``."""
-        t = dt * np.arange(int(round(t_end / dt)) + 1)
-        post = self.after(np.clip(t - t_event, 0.0, None))
-        return Waveform(0.0, dt, np.where(t < t_event, self.before, post))
+        return Waveform(0.0, dt, self.at(dt * np.arange(int(round(t_end / dt)) + 1), t_event))
 
 
 def _second_order_tf(tf: tfm_line.SecondOrderTF, base: float, k: float) -> ClosedForm:
@@ -249,9 +253,14 @@ def compare_models(
     """One row per model: closed forms, both averaged oracles and the
     switched oracle, each with metrics and errors against the reference.
 
-    Every waveform is sampled every ``p.period / steps_per_cycle``.
-    ``reference`` is a row name or "aer" to score against the embedded
-    measured scalars (no waveform, so no rmse in that mode).
+    The oracles sample every ``p.period / steps_per_cycle``; the switched
+    row is their cycle averages, one per cycle at its midpoint.  Each row's
+    rmse is taken on the reference's own grid: a closed form is evaluated
+    exactly at the reference's sample times, and an oracle row is
+    interpolated linearly onto them.  A closed form is sampled on the fine
+    grid only when it is the reference.  ``reference`` is a row name or
+    "aer" to score against the embedded measured scalars (no waveform, so
+    no rmse in that mode).
     """
     if t_end is None:
         t_end = default_comparison_t_end(p, event)
@@ -260,13 +269,9 @@ def compare_models(
     sim_p, initial, events = simulation_setup(p, event)
     trace = simulate_switched(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
 
+    solved = {model: closed_form(p, event, model) for model in ("ebm", "tfm", "fr")}
+    metrics: dict[str, ResponseMetrics] = {m: s.metrics for m, s in solved.items()}
     waveforms: dict[str, Waveform] = {}
-    metrics: dict[str, ResponseMetrics] = {}
-
-    for model in ("ebm", "tfm", "fr"):
-        solved = closed_form(p, event, model)
-        waveforms[model] = solved.waveform(event.t_event, dt, t_end)
-        metrics[model] = solved.metrics
 
     for name, parasitics in (("avg+par", True), ("avg-par", False)):
         wave = simulate_averaged(
@@ -277,7 +282,6 @@ def compare_models(
 
     cyc = trace.cycle_averaged()
     metrics["switched"] = replace(extract_metrics(cyc, event.t_event), flags=trace.flags)
-    # switched rmse is computed on the cycle-averaged grid against resampled rows
     waveforms["switched"] = cyc
 
     if reference == "aer":
@@ -288,15 +292,21 @@ def compare_models(
     else:
         ref_m = metrics[reference]
         ref_steady, ref_peak = ref_m.v_steady, ref_m.v_max
-        ref_wave = waveforms[reference]
+        if reference in solved:
+            ref_wave = solved[reference].waveform(event.t_event, dt, t_end)
+        else:
+            ref_wave = waveforms[reference]
 
     rows = []
     for model in MODEL_ROWS:
         m = metrics[model]
         row_rmse = None
         if ref_wave is not None and model != reference:
-            a, b = _common_grid(ref_wave, waveforms[model])
-            row_rmse = rmse(a, b)
+            if model in solved:
+                fit = replace(ref_wave, samples=solved[model].at(ref_wave.times, event.t_event))
+            else:
+                fit = _common_grid(ref_wave, waveforms[model])[1]
+            row_rmse = rmse(ref_wave, fit)
         rows.append(
             ModelRow(
                 model=model,

@@ -31,6 +31,7 @@ errors print text (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -287,7 +288,9 @@ def cmd_audit(cfg: dict, args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="boostdyn",
         description="Boost converter transient prediction and analysis",

@@ -7,6 +7,13 @@ discontinuous conduction) the circuit is an affine system x' = A x + u in
 x = (i_L, v_C).  The switched simulator steps the modes exactly through an
 augmented matrix exponential (Van Loan, IEEE TAC 1978); the averaged one
 steps their duty-weighted average (Middlebrook and Cuk, PESC 1976).
+
+The switched simulator fills a whole cycle with one product: a cycle table,
+built once per (input, load), holds the exact maps from a cycle's start
+state to each of its samples, on-mode powers and then off-mode powers
+times the on phase.  A cycle whose off phase dips below i_L = 0, or that an
+event splits, is stepped stretch by stretch instead, with the clamp and the
+idle mode of discontinuous conduction.
 ``integrate_second_order`` stays a classical fourth-order integrator, the
 independent check for the closed-form responses.  All grids are fixed, so
 repeated runs produce identical waveforms.
@@ -145,17 +152,33 @@ def _ladder(mode: _Mode, h: float, steps: int) -> list[np.ndarray]:
 
 
 def _advance(x: np.ndarray, rungs: list[np.ndarray]) -> None:
-    """Fill the (i_L, v_C, 1) columns x[:, 1:] from x[:, 0] by exact steps
-    of one mode; the rung over ``span`` substeps maps columns [0, span)
-    onto [span, 2 span)."""
-    k = x.shape[1] - 1
+    """Fill the (i_L, v_C, 1) columns x[..., 1:] from x[..., 0] by exact
+    steps of one mode; the rung over ``span`` substeps maps columns
+    [0, span) onto [span, 2 span).  Leading axes of x are a batch."""
+    k = x.shape[-1] - 1
     span = 1
     for rung in rungs:
         if span > k:
             break
         w = min(span, k + 1 - span)
-        np.matmul(rung, x[:, :w], out=x[:2, span : span + w])
+        np.matmul(rung, x[..., :w], out=x[..., :2, span : span + w])
         span *= 2
+
+
+def _cycle_table(rungs: list[list[np.ndarray]], on_steps: int, spc: int) -> np.ndarray:
+    """The exact maps, shape (2, spc, 3), from a cycle's start column
+    (i_L, v_C, 1) to its samples 1..spc when its inductor current never
+    falls below zero: the on-mode powers, then the off-mode powers times
+    the whole on phase.  Built by advancing the three unit columns."""
+    maps = []
+    start = np.eye(3)
+    for steps, mode_rungs in ((on_steps, rungs[0]), (spc - on_steps, rungs[1])):
+        # run[j, :, s] is unit column j after s substeps of this phase
+        run = np.repeat(start[:, :, None], steps + 1, axis=2)
+        _advance(run, mode_rungs)
+        maps.append(run[:, :2, 1:])
+        start = run[:, :, -1]
+    return np.ascontiguousarray(np.concatenate(maps, axis=2).transpose(1, 2, 0))
 
 
 def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
@@ -272,10 +295,13 @@ def simulate_switched(
     """Cycle-by-cycle simulation of the switched circuit, exact within each mode.
 
     Each cycle runs round(D * steps_per_cycle) substeps in the on mode and
-    the rest in the off mode.  The first off-phase substep that ends with
-    negative inductor current is clamped to zero and flags the trace "dcm";
-    the idle mode then runs until the output falls to v_i - v_d, where the
-    diode conducts again.
+    the rest in the off mode.  A whole cycle that starts with i_L >= 0 is
+    filled by one product with its cycle table (``_cycle_table``), built
+    once per (input, load).  If its off phase dips below i_L = 0, and in a
+    cycle that an event splits, the phases are stepped stretch by stretch
+    instead: the first off-phase substep that ends with negative inductor
+    current is clamped to zero and flags the trace "dcm"; the idle mode then
+    runs until the output falls to v_i - v_d, where the diode conducts again.
     """
     if steps_per_cycle < 50:
         raise ValueError("steps_per_cycle must be >= 50")
@@ -290,37 +316,43 @@ def simulate_switched(
     x = _state_grid(p, initial_state, n)
     v_i_applied = np.empty(n + 1)
     r_0_applied = np.empty(n + 1)
-    ladders: dict[tuple[float, float], list] = {}
+    cycles: dict[tuple[float, float], tuple[list, np.ndarray]] = {}
     dcm = False
 
-    phase_cuts = [*range(spc, n, spc), *range(on_steps, n, spc)]
-    for a, b, v_i, r_0 in _segments(p, events, dt, n, phase_cuts):
+    for a, b, v_i, r_0 in _segments(p, events, dt, n, range(spc, n, spc)):
         v_i_applied[a : b + 1] = v_i
         r_0_applied[a : b + 1] = r_0
-        if (v_i, r_0) not in ladders:
-            ladders[v_i, r_0] = [_ladder(m, dt, spc) for m in _modes(p, v_i, r_0)]
-        on_rungs, off_rungs, idle_rungs = ladders[v_i, r_0]
-        on = a % spc < on_steps
+        if (v_i, r_0) not in cycles:
+            rungs = [_ladder(m, dt, spc) for m in _modes(p, v_i, r_0)]
+            cycles[v_i, r_0] = rungs, _cycle_table(rungs, on_steps, spc)
+        (on_rungs, off_rungs, idle_rungs), table = cycles[v_i, r_0]
+        off = a - a % spc + on_steps
+        if b - a == spc and x[0, a] >= 0.0:
+            np.matmul(table, x[:, a], out=x[:2, a + 1 : b + 1])
+            if not (x[0, off + 1 : b + 1] < 0.0).any():
+                continue
+            a = off  # the on phase stands; step the off phase again
         k = r_0 / (r_0 + p.r_c)
-        j = a
-        while j < b:
-            i_l, v_c = x[0, j], x[1, j]
-            idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
-            seg = x[:, j : b + 1]
-            _advance(seg, idle_rungs if idle else on_rungs if on else off_rungs)
-            if idle:
-                stop = k * seg[1, 1:] <= v_i - p.v_d
-            elif on and i_l >= 0.0:
-                break  # the on mode only charges the inductor
-            else:
-                stop = seg[0, 1:] < 0.0
-            m = int(stop.argmax())
-            if not stop[m]:
-                break
-            j += m + 1
-            if not idle:
-                x[0, j] = 0.0
-                dcm = dcm or not on
+        # what is left of the on phase, then of the off phase
+        for j, end, on in ((a, min(off, b), True), (max(a, off), b, False)):
+            while j < end:
+                i_l, v_c = x[0, j], x[1, j]
+                idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
+                seg = x[:, j : end + 1]
+                _advance(seg, idle_rungs if idle else on_rungs if on else off_rungs)
+                if idle:
+                    stop = k * seg[1, 1:] <= v_i - p.v_d
+                elif on and i_l >= 0.0:
+                    break  # the on mode only charges the inductor
+                else:
+                    stop = seg[0, 1:] < 0.0
+                m = int(stop.argmax())
+                if not stop[m]:
+                    break
+                j += m + 1
+                if not idle:
+                    x[0, j] = 0.0
+                    dcm = dcm or not on
     i_l, v_c, v_out = x
     if not (np.all(np.isfinite(i_l)) and np.all(np.isfinite(v_c))):
         raise NonFiniteState("switched simulation diverged")

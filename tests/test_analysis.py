@@ -4,7 +4,8 @@ import threading
 import numpy as np
 import pytest
 
-from boostdyn import ConverterParams, StepEvent, StepKind, analysis, tfm_load
+from boostdyn import (ConverterParams, StepEvent, StepKind, analysis, simulate_switched,
+                      tfm_load)
 from boostdyn.steady import steady_output
 
 #: heavily damped by its 10-ohm load: xi ~ 3, so every closed form is overdamped
@@ -49,6 +50,41 @@ class TestCompareModels:
         table = analysis.compare_models(fast_params, event)
         assert len(calls) == 1
         assert table.row("tfm").rmse_v is not None
+
+    @pytest.mark.parametrize("event", [
+        StepEvent(StepKind.INPUT_VOLTAGE, 2.0, 3.0, 10.37e-5),
+        StepEvent(StepKind.LOAD_RESISTANCE, 20.0, 40.0, 2e-4),
+    ], ids=["warm-line-step", "load-step"])
+    def test_closed_form_rmse_is_the_fine_grid_definition(self, fast_params, event):
+        # scored at the switched row's cycle midpoints, which are samples of
+        # the fine grid when steps_per_cycle is even
+        p = fast_params
+        t_end = analysis.default_comparison_t_end(p, event)
+        table = analysis.compare_models(p, event, steps_per_cycle=200)
+        sim_p, initial, events = analysis.simulation_setup(p, event)
+        ref = simulate_switched(sim_p, events, 200, t_end, initial_state=initial).cycle_averaged()
+        for model in ("ebm", "tfm", "fr"):
+            fine = analysis.closed_form(p, event, model).waveform(event.t_event, p.period / 200,
+                                                                  t_end)
+            want = analysis.rmse(*analysis._common_grid(ref, fine))
+            assert table.row(model).rmse_v == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_closed_forms_are_sampled_on_the_fine_grid_only_as_the_reference(
+            self, fast_params, monkeypatch):
+        calls = []
+        waveform = analysis.ClosedForm.waveform
+
+        def counting(self, *args):
+            calls.append(args)
+            return waveform(self, *args)
+
+        monkeypatch.setattr(analysis.ClosedForm, "waveform", counting)
+        event = cold_start(fast_params)
+        analysis.compare_models(fast_params, event, reference="aer")
+        analysis.compare_models(fast_params, event)
+        assert calls == []
+        analysis.compare_models(fast_params, event, reference="ebm")
+        assert len(calls) == 1
 
     def test_default_horizon_settles_an_overdamped_design(self):
         # the slow real pole decays at ~2.6e3 /s, not at xi * w0 = 5e4 /s

@@ -125,6 +125,21 @@ class TestCompare:
         assert out.read_text() == "\n".join(want) + "\n"
 
 
+class TestParser:
+    def test_one_parser_and_no_default_leaks_between_calls(self, fast_params, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        event = {"kind": "input_voltage", "value_before": 0.0, "value_after": fast_params.v_i}
+        config = write_config(tmp_path, fast_params, event=event)
+        for argv, model in ((["--model", "ebm"], "ebm"), ([], "tfm")):
+            assert cli.main(["predict", *argv, "--config", config]) == 0
+            assert json.loads(capsys.readouterr().out)["model"] == model
+        # the reference row is the one without an rmse
+        for argv, reference in ((["--reference", "ebm"], "ebm"), ([], "switched")):
+            assert cli.main(["compare", *argv, "--config", config]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            assert [row[0] for row in rows if row[6] == ""] == [reference]
+
+
 class TestDescend:
     def test_held_steady_output_is_written_and_the_peak_falls(self, line_params, tmp_path):
         descent = {"free": ["l", "c"], "constraint": "constant-steady-output", "max_steps": 4}

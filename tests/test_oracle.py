@@ -26,6 +26,46 @@ def one_substep(mode, h, i0, v0):
     return x[0, 1], x[1, 1]
 
 
+def substep_reference(p, spc, n, x0, events=()):
+    """Samples 0..n of (i_L, v_C) of the switched circuit, one exact substep
+    at a time: a substep that ends with i_L < 0 is clamped to zero, and an
+    off-phase substep from i_L <= 0 idles while the output stays above
+    v_i - v_d.  Returns the samples and whether an off phase was clamped."""
+    h = p.period / spc
+    on_steps = round(p.d * spc)
+    at = {round(ev.t_event / h): ev for ev in events}
+    maps = {}
+    x = np.empty((n + 1, 2))
+    x[0] = x0
+    v_i, r_0 = p.v_i, p.r_0
+    dcm = False
+    for k in range(n):
+        if k in at:
+            ev = at[k]
+            if ev.kind is StepKind.INPUT_VOLTAGE:
+                v_i = ev.value_after
+            else:
+                r_0 = ev.value_after
+        i_l, v_c = x[k]
+        v_out = r_0 / (r_0 + p.r_c) * (v_c + p.r_c * i_l)
+        if k % spc < on_steps:
+            mode = 0
+        else:
+            mode = 2 if i_l <= 0.0 and v_out > v_i - p.v_d else 1
+        if (v_i, r_0, mode) not in maps:
+            maps[v_i, r_0, mode] = _ladder(_modes(p, v_i, r_0)[mode], h, 1)[0]
+        x[k + 1] = maps[v_i, r_0, mode] @ (i_l, v_c, 1.0)
+        if x[k + 1, 0] < 0.0:
+            x[k + 1, 0] = 0.0
+            dcm = dcm or mode == 1
+    return x, dcm
+
+
+def assert_trace_is(trace, ref):
+    for got, want in ((trace.i_l, ref[:, 0]), (trace.v_c, ref[:, 1])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def averaged_dc_output(p):
     """DC solution of the state-space averaged circuit, from its two balances.
 
@@ -121,6 +161,40 @@ class TestAveraged:
         assert np.allclose(wave.samples, p.v_i / (1 - p.d), rtol=1e-12, atol=0)
 
 
+class TestCycleTable:
+    """Whole cycles are filled from a table of exact maps; these runs check
+    it against the circuit stepped one substep at a time (the bench load
+    step's clamped cycles are checked in TestSwitched)."""
+
+    def test_ccm_run_is_the_substep_chain(self, load_params):
+        p = load_params
+        trace = simulate_switched(p, [], 200, 50 * p.period, initial_state="steady")
+        ref, dcm = substep_reference(p, 200, 10000, (trace.i_l[0], trace.v_c[0]))
+        assert trace.flags == () and not dcm
+        assert np.all(trace.i_l > 0.0)
+        assert_trace_is(trace, ref)
+
+    @pytest.mark.parametrize("periods", [30.37, 30.77])
+    def test_mid_cycle_input_step_is_the_substep_chain(self, load_params, periods):
+        p = load_params
+        step = StepEvent(StepKind.INPUT_VOLTAGE, p.v_i, 6.5, periods * p.period)
+        trace = simulate_switched(p, [step], 200, 50 * p.period, initial_state="steady")
+        assert round(step.t_event / trace.dt) % 200 not in (0, 100)
+        ref, dcm = substep_reference(p, 200, 10000, (trace.i_l[0], trace.v_c[0]), [step])
+        assert trace.flags == () and not dcm
+        assert_trace_is(trace, ref)
+
+    @pytest.mark.parametrize("d, on_substeps", [(0.002, 0), (0.998, 200)])
+    def test_extreme_duty_is_the_substep_chain(self, load_params, d, on_substeps):
+        p = replace(load_params, d=d)
+        trace = simulate_switched(p, [], 200, 30 * p.period)
+        assert int(trace.on_phase[:200].sum()) == on_substeps
+        ref, dcm = substep_reference(p, 200, 6000, (0.0, 0.0))
+        assert trace.flags == () and not dcm
+        assert np.all(np.isfinite(trace.v_out))
+        assert_trace_is(trace, ref)
+
+
 class TestSwitched:
     def test_bench_load_step_enters_dcm(self, load_params):
         p = load_params
@@ -131,6 +205,9 @@ class TestSwitched:
         assert trace.flags == ("dcm",)
         assert np.all(trace.i_l >= 0.0)
         assert np.any(trace.i_l[~trace.on_phase] == 0.0)
+        ref, dcm = substep_reference(p, 200, 12000, (trace.i_l[0], trace.v_c[0]), [step])
+        assert dcm
+        assert_trace_is(trace, ref)
 
     def test_idle_mode_discharges_capacitor_only(self, load_params):
         p = load_params
