@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from . import ebm, refmodel, tfm_line, tfm_load
 from .circuit import (
     ConverterParams,
     ModelDomainError,
+    ParameterError,
     ResponseMetrics,
     StepEvent,
     StepKind,
@@ -156,13 +158,12 @@ class ClosedForm(NamedTuple):
 
 def _second_order_tf(tf: tfm_line.SecondOrderTF, base: float, k: float) -> ClosedForm:
     """Line step of height ``k`` through ``tf`` from the level ``base``."""
-    v_steady = base + k * tf.dc_gain
-    if not tf.is_underdamped:
+    v_steady, v_max, t_p = map(float, tfm_line.line_step_metrics(tf, base, k))
+    if math.isnan(t_p):
         m = ResponseMetrics(v_steady, v_steady, None, 0.0, flags=("overdamped",))
     else:
-        v_max = base + tfm_line.line_peak_voltage(tf, k)
         over = 100.0 * (v_max - v_steady) / v_steady if v_steady else 0.0
-        m = ResponseMetrics(v_steady, v_max, tfm_line.line_peak_time(tf), over)
+        m = ResponseMetrics(v_steady, v_max, t_p, over)
     return ClosedForm(m, base, lambda t: base + tfm_line.line_step_response(tf, k, t))
 
 
@@ -341,6 +342,13 @@ class SweepAxis:
     n: int
     log: bool = False
 
+    def __post_init__(self) -> None:
+        if self.log:
+            for bound in ("lo", "hi"):
+                if not getattr(self, bound) > 0:
+                    raise ValueError(f"log axis {self.name!r} needs {bound} > 0, "
+                                     f"not {getattr(self, bound)!r}")
+
     @property
     def values(self) -> np.ndarray:
         if self.log:
@@ -367,6 +375,17 @@ def _metric_for(p: ConverterParams, model: str, metric: str) -> float:
     return math.nan if value is None else value
 
 
+def _checked_values(p: ConverterParams, axis: SweepAxis) -> np.ndarray:
+    """The axis values, NaN where ``p`` with that value makes no record."""
+    values = axis.values
+    for k, x in enumerate(values):
+        try:
+            replace(p, **{axis.name: float(x)})
+        except ParameterError:
+            values[k] = np.nan
+    return values
+
+
 def sweep(
     p: ConverterParams,
     axis1: SweepAxis,
@@ -376,9 +395,11 @@ def sweep(
 ) -> SweepGrid:
     """Startup-overshoot response surface over two component axes.
 
-    ``metric`` is one of SWEEP_METRICS, read off ``closed_form_metrics`` of
-    a cold start at each cell in turn.  Cells whose parameters make no
-    valid record, land outside a model's domain or have no value (t_p of a
+    ``metric`` is one of SWEEP_METRICS of a cold start, as
+    ``closed_form_metrics`` gives it for each cell.  The TFM solves the
+    whole grid in one array call of its kernel; EBM, which has no array
+    kernel yet, cell by cell.  Cells whose parameters make no valid
+    record, land outside a model's domain or have no value (t_p of a
     peak-free response) are NaN and marked invalid, never interpolated.
     """
     if axis1.name not in SWEEP_AXES or axis2.name not in SWEEP_AXES:
@@ -391,6 +412,21 @@ def sweep(
         raise ValueError("sweep models are the two closed forms: 'ebm' or 'tfm'")
     if metric not in SWEEP_METRICS:
         raise ValueError(f"sweep metric must be one of {SWEEP_METRICS}, not {metric!r}")
+
+    if model == "tfm":
+        # Every invariant of validate_params reads one field, so a cell
+        # makes a record exactly when each of its two axis values does with
+        # the other fields of p: n1 + n2 records check all n1 n2 cells.
+        # Arrays all, so that a v_i <= 0 of p gives NaN cells, not a raise.
+        fields = {name: np.asarray(getattr(p, name)) for name in SWEEP_AXES}
+        fields[axis1.name] = _checked_values(p, axis1)[:, None]
+        fields[axis2.name] = _checked_values(p, axis2)[None, :]
+        q = SimpleNamespace(**fields)
+        solved = tfm_line.line_step_metrics(tfm_line.line_tf_coefficients(q), 0.0, q.v_i)
+        cells = dict(zip(("v_steady", "v_max", "t_p"), solved))[metric]
+        valid = np.isfinite(fields[axis1.name]) & np.isfinite(fields[axis2.name])
+        values = np.where(valid, cells, np.nan)
+        return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values)
 
     v2 = axis2.values
     values = np.full((axis1.n, axis2.n), np.nan)
@@ -471,9 +507,10 @@ def steepest_descent(
     """Greedy overshoot descent over two or three free component axes.
 
     The gradient of the startup peak is taken by central differences in
-    log-parameter space; each move starts at 5 percent of the current
-    magnitudes and is halved until the (projected) step strictly lowers
-    the peak.  Constraints are enforced by projection after every step.
+    log-parameter space, one closed form per probe; each move starts at 5
+    percent of the current magnitudes and is halved until the (projected)
+    step strictly lowers the peak.  Constraints are enforced by projection
+    after every step.
     """
     if not 2 <= len(set(free)) == len(free) <= 3:
         raise ValueError(f"free must name two or three distinct parameters, not {list(free)}")

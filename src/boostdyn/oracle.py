@@ -241,12 +241,19 @@ def simulate_averaged(
         p = replace(p, r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
 
     n = int(round(t_end / dt))
-    x = _state_grid(p, initial_state, min(n, _BLOCK))
+    block = min(n, _BLOCK)
+    x = _state_grid(p, initial_state, block)
     out = np.empty(n + 1)
+    # one ladder per (input, load), long enough for a block: a shorter
+    # stretch uses a prefix of its rungs
+    ladders: dict[tuple[float, float], tuple[_Mode, list[np.ndarray]]] = {}
     for a, b, v_i, r_0 in _segments(p, events, dt, n, range(_BLOCK, n, _BLOCK)):
-        mode = _averaged_mode(p, v_i, r_0)
+        if (v_i, r_0) not in ladders:
+            mode = _averaged_mode(p, v_i, r_0)
+            ladders[v_i, r_0] = mode, _ladder(mode, dt, block)
+        mode, rungs = ladders[v_i, r_0]
         seg = x[:, : b - a + 1]
-        _advance(seg, _ladder(mode, dt, b - a))
+        _advance(seg, rungs)
         np.matmul(mode.out, seg[:2], out=out[a : b + 1])
         x[:, 0] = seg[:, -1]
     if not np.all(np.isfinite(out)):

@@ -9,12 +9,18 @@ whose DC gain f_num/c matches the corrected steady-state ratio.  A step
 response goes through the energy model's two-pole form
 (``ebm.SecondOrderForm``, built by ``step_form``); the first peak time and
 peak voltage of an underdamped TF are evaluated in closed form.
+
+The coefficients and the peak are numpy expressions that broadcast: fed
+parameter arrays, ``line_tf_coefficients`` and ``line_step_metrics`` solve
+a whole grid of designs in one call, and a single design is their 0-d case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .circuit import ConverterParams, ModelDomainError
 from .ebm import OdeCoefficients, SecondOrderForm, ebm_response, to_standard_form
@@ -55,8 +61,16 @@ class SecondOrderTF:
 
 
 def line_tf_coefficients(p: ConverterParams) -> SecondOrderTF:
-    """Coefficients of the input-to-output transfer function."""
-    if p.v_i <= 0:
+    """Coefficients of the input-to-output transfer function.
+
+    ``p`` is a record or any object with its fields as arrays that
+    broadcast together; the coefficients then have their broadcast shape
+    and are NaN in the cells whose v_i <= 0, which one design refuses.
+    """
+    v_i = p.v_i
+    if isinstance(v_i, np.ndarray):
+        v_i = np.where(v_i > 0.0, v_i, np.nan)
+    elif v_i <= 0:
         raise ZeroInputVoltage("input voltage must be > 0 to place the diode correction")
     one_d = 1.0 - p.d
     q = one_d * one_d
@@ -65,7 +79,7 @@ def line_tf_coefficients(p: ConverterParams) -> SecondOrderTF:
     b = q * p.c * p.r_0 * p.r_c + p.d * p.c * p.r_m * rs + p.c * p.r_l * rs + p.l
     c = q * p.r_0 + p.r_l + p.d * p.r_m + q * p.r_c
     d_num = one_d * p.c * p.r_0 * p.r_c
-    f_num = one_d * p.r_0 - (p.v_d / p.v_i) * q * p.r_0
+    f_num = one_d * p.r_0 - (p.v_d / v_i) * q * p.r_0
     return SecondOrderTF(a=a, b=b, c=c, d_num=d_num, f_num=f_num)
 
 
@@ -81,30 +95,46 @@ def line_step_response(tf: SecondOrderTF, k: float, t):
     return ebm_response(step_form(tf, k), t)
 
 
+def line_step_metrics(tf: SecondOrderTF, base, k):
+    """(v_steady, v_max, t_p) of a step of height ``k`` through ``tf`` from
+    the level ``base``, in closed form.
+
+    Every argument may be an array; the three results have the broadcast
+    shape.  Where the TF is not underdamped, t_p is NaN and v_max is
+    v_steady: the response has no oscillatory peak.
+    """
+    a, b, c, d, f = tf.a, tf.b, tf.c, tf.d_num, tf.f_num
+    under = tf.discriminant > 0.0
+    # NaN in b runs quietly through every peak term of the cells that are
+    # not underdamped; one underdamped design, a plain bool, needs no mask
+    masked = under is not True
+    if masked:
+        b = np.where(under, b, np.nan)[()]
+    four_ac, bb = 4.0 * a * c, b * b
+    root = np.sqrt(four_ac - bb)
+    lead = np.arctan2(root, b)
+    zero = np.arctan2(f * root, b * f - 2.0 * c * d)
+    phase = lead - zero + math.pi
+    t_p = phase / (root / (2.0 * a))
+    radical = np.sqrt((a * f * f - b * d * f + c * d * d) / (four_ac * c - bb * c))
+    expo = np.exp(-b * phase / root)
+    gain = tf.dc_gain
+    v_steady = base + k * gain
+    v_max = base + k * (gain - 2.0 * radical * expo * np.sin(lead + math.pi))
+    if masked:
+        v_max = np.where(under, v_max, v_steady)[()]
+    return v_steady, v_max, t_p
+
+
 def line_peak_time(tf: SecondOrderTF) -> float:
     """Time from step to the first output maximum, in closed form."""
-    disc = tf.discriminant
-    if disc <= 0:
+    if not tf.is_underdamped:
         raise OverdampedTF("no oscillatory peak for real-pole systems")
-    root = math.sqrt(disc)
-    num = (
-        math.atan2(root, tf.b)
-        - math.atan2(tf.f_num * root, tf.b * tf.f_num - 2.0 * tf.c * tf.d_num)
-        + math.pi
-    )
-    return num / (root / (2.0 * tf.a))
+    return float(line_step_metrics(tf, 0.0, 1.0)[2])
 
 
 def line_peak_voltage(tf: SecondOrderTF, v_i: float) -> float:
     """First peak of the response to a step of magnitude ``v_i``."""
-    disc = tf.discriminant
-    if disc <= 0:
+    if not tf.is_underdamped:
         raise OverdampedTF("no oscillatory peak for real-pole systems")
-    a, b, c, d, f = tf.a, tf.b, tf.c, tf.d_num, tf.f_num
-    root = math.sqrt(disc)
-    radical = math.sqrt((a * f * f - b * d * f + c * d * d) / (4.0 * a * c * c - b * b * c))
-    expo = math.exp(
-        b * (math.atan2(f * root, b * f - 2.0 * c * d) - math.atan2(root, b) - math.pi)
-        / root
-    )
-    return v_i * (f / c - 2.0 * radical * expo * math.sin(math.atan2(root, b) + math.pi))
+    return float(line_step_metrics(tf, 0.0, v_i)[1])

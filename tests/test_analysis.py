@@ -1,11 +1,13 @@
 import dataclasses
+import math
 import threading
 
 import numpy as np
 import pytest
 
 from boostdyn import (ConverterParams, StepEvent, StepKind, analysis, simulate_switched,
-                      tfm_load)
+                      tfm_line, tfm_load)
+from boostdyn.circuit import ModelDomainError, ParameterError
 from boostdyn.steady import steady_output
 
 #: heavily damped by its 10-ohm load: xi ~ 3, so every closed form is overdamped
@@ -160,6 +162,12 @@ class TestSweep:
         assert not grid.valid[beyond].any()
         assert grid.valid[~beyond].all()
 
+    @pytest.mark.parametrize("lo, hi, bound", [(0.0, 1e-3, "lo"), (1e-3, -1e-3, "hi")])
+    def test_log_axis_needs_positive_bounds(self, lo, hi, bound):
+        with pytest.raises(ValueError, match=f"log axis 'l' needs {bound} > 0"):
+            analysis.SweepAxis("l", lo, hi, 4, log=True)
+        assert analysis.SweepAxis("l", lo, hi, 4).values.size == 4
+
     def test_mask_is_derived_from_the_values(self, line_params):
         grid = analysis.sweep(line_params, self.AXIS_L, analysis.SweepAxis("c", 2e-5, 8e-5, 3))
         assert "valid" not in {f.name for f in dataclasses.fields(grid)}
@@ -180,6 +188,15 @@ class TestSweep:
         monkeypatch.setattr(analysis, "closed_form_metrics", fail)
         axis_c = analysis.SweepAxis("c", 20e-6, 80e-6, 4)
         with pytest.raises(ValueError, match="vmax"):
+            analysis.sweep(line_params, self.AXIS_L, axis_c, model="ebm", metric="vmax")
+
+    def test_unknown_metric_is_refused_before_the_kernel_runs(self, line_params, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(tfm_line, "line_step_metrics", fail)
+        axis_c = analysis.SweepAxis("c", 20e-6, 80e-6, 4)
+        with pytest.raises(ValueError, match="vmax"):
             analysis.sweep(line_params, self.AXIS_L, axis_c, metric="vmax")
 
     def test_cells_run_on_the_calling_thread(self, line_params, monkeypatch):
@@ -193,8 +210,78 @@ class TestSweep:
 
         monkeypatch.setattr(analysis, "closed_form_metrics", recording)
         axis_c = analysis.SweepAxis("c", 20e-6, 80e-6, 4)
-        assert analysis.sweep(line_params, self.AXIS_L, axis_c).valid.all()
+        assert analysis.sweep(line_params, self.AXIS_L, axis_c, model="ebm").valid.all()
         assert threads == {threading.get_ident()}
+
+    def test_tfm_sweep_makes_no_scalar_calls(self, line_params, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a cell was solved on its own")
+
+        monkeypatch.setattr(analysis, "closed_form_metrics", fail)
+        axis_c = analysis.SweepAxis("c", 20e-6, 80e-6, 4)
+        assert analysis.sweep(line_params, self.AXIS_L, axis_c).valid.all()
+
+
+def scalar_grid(p, axis1, axis2, metric):
+    """The sweep grid cell by cell through closed_form_metrics; NaN where
+    it refuses the cell or has no value."""
+    values = np.full((axis1.n, axis2.n), np.nan)
+    refused = np.zeros(values.shape, dtype=bool)
+    for i, x in enumerate(axis1.values):
+        for j, y in enumerate(axis2.values):
+            try:
+                q = dataclasses.replace(p, **{axis1.name: float(x), axis2.name: float(y)})
+                value = getattr(analysis.closed_form_metrics(q, cold_start(q), "tfm"), metric)
+            except (ValueError, ModelDomainError):
+                refused[i, j] = True
+                continue
+            values[i, j] = math.nan if value is None else value
+    return values, refused
+
+
+class TestTfmSweepParity:
+    """Every cell of the one-call TFM sweep is its scalar closed form."""
+
+    AXES = {
+        "duty-past-one": (analysis.SweepAxis("d", 0.3, 1.2, 10),
+                          analysis.SweepAxis("r_c", -0.5, 2.0, 6)),
+        "input-from-zero": (analysis.SweepAxis("v_i", 0.0, 5.0, 6),
+                            analysis.SweepAxis("l", 1e-4, 2e-3, 5, log=True)),
+        "overdamped": (analysis.SweepAxis("r_l", 0.0, 60.0, 7),
+                       analysis.SweepAxis("c", 2e-6, 80e-6, 6, log=True)),
+        "one-row": (analysis.SweepAxis("r_0", 50.0, 50.0, 1),
+                    analysis.SweepAxis("v_d", -0.2, 0.8, 6)),
+    }
+
+    @pytest.mark.parametrize("metric", analysis.SWEEP_METRICS)
+    @pytest.mark.parametrize("axes", AXES.values(), ids=AXES.keys())
+    def test_cells_equal_the_scalar_path(self, line_params, axes, metric):
+        grid = analysis.sweep(line_params, *axes, metric=metric)
+        want, refused = scalar_grid(line_params, *axes, metric)
+        assert grid.values.shape == want.shape
+        assert np.array_equal(grid.values, want, equal_nan=True)
+        if metric != "t_p":
+            assert np.array_equal(~grid.valid, refused)
+
+    def test_design_without_input_voltage_is_all_invalid(self, line_params):
+        p = dataclasses.replace(line_params, v_i=0.0)
+        axes = self.AXES["overdamped"]
+        assert scalar_grid(p, *axes, "v_max")[1].all()
+        assert not analysis.sweep(p, *axes).valid.any()
+
+    @pytest.mark.parametrize("axes", AXES.values(), ids=AXES.keys())
+    def test_axes_reach_refused_and_peak_free_cells(self, line_params, axes):
+        # the grids above hold what they are meant to cover
+        _, refused = scalar_grid(line_params, *axes, "v_max")
+        peak_free = np.isnan(scalar_grid(line_params, *axes, "t_p")[0]) & ~refused
+        name = axes[0].name
+        if name == "r_l":
+            assert peak_free.any() and not peak_free.all()
+        elif name == "r_0":
+            assert refused.any() and not refused.all()
+        else:
+            assert refused[-1].all() if name == "d" else refused[0].all()
+            assert not refused.all()
 
 
 class TestSteepestDescent:
@@ -208,6 +295,12 @@ class TestSteepestDescent:
             target = steady_output(line_params)
             for step in path.steps:
                 assert steady_output(step.params) == pytest.approx(target, rel=1e-12)
+
+    def test_refused_probe_raises(self, line_params):
+        # d e^h leaves (0, 1), so the first gradient probe is no record
+        near_one = dataclasses.replace(line_params, d=0.99995)
+        with pytest.raises(ParameterError):
+            analysis.steepest_descent(near_one, ("d", "l"))
 
     def test_repeated_free_name_is_refused(self, line_params):
         with pytest.raises(ValueError, match="distinct"):

@@ -209,6 +209,9 @@ MALFORMED = {
     "t-end-zero": ("simulate", {"solver": {"t_end": 0}}),
     "sweep-bound-nan": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "hi": NAN}}}),
     "axis-n-zero": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "n": 0}}}),
+    "log-axis-lo-zero": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "lo": 0.0, "log": True}}}),
+    "log-axis-hi-negative": ("sweep", {"sweep": {**SWEEP, "axis2": {**AXIS, "hi": -1e-4,
+                                                                    "log": True}}}),
 }
 
 

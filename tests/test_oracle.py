@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boostdyn import StepEvent, StepKind, fr_step_response
+from boostdyn import StepEvent, StepKind, fr_step_response, oracle
 from boostdyn.oracle import (
     StepTooLarge,
     WindowOutOfRange,
@@ -154,6 +154,34 @@ class TestAveraged:
         assert np.array_equal(both.samples[:10000], first.samples[:10000])
         # the parasitic-free output is v_C, which the load step leaves continuous
         assert both.samples[10000] == pytest.approx(first.samples[-1], rel=1e-12)
+
+    def test_one_ladder_per_input_and_load(self, fast_params, monkeypatch):
+        # 30,001 samples in 8 blocks of 4,096, and a load step inside the fourth
+        p = fast_params
+        dt = p.period / 200
+        step = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2 * p.r_0, 70 * p.period)
+        calls = []
+
+        def counting(mode, h, steps):
+            calls.append(steps)
+            return _ladder(mode, h, steps)
+
+        monkeypatch.setattr(oracle, "_ladder", counting)
+        wave = simulate_averaged(p, [step], dt, 150 * p.period)
+        assert calls == [oracle._BLOCK, oracle._BLOCK]
+
+        # the same run with a ladder built for each stretch
+        n = len(wave) - 1
+        x = oracle._state_grid(p, "zero", oracle._BLOCK)
+        want = np.empty(n + 1)
+        cuts = range(oracle._BLOCK, n, oracle._BLOCK)
+        for a, b, v_i, r_0 in oracle._segments(p, [step], dt, n, cuts):
+            mode = oracle._averaged_mode(p, v_i, r_0)
+            seg = x[:, : b - a + 1]
+            _advance(seg, _ladder(mode, dt, b - a))
+            want[a : b + 1] = mode.out @ seg[:2]
+            x[:, 0] = seg[:, -1]
+        assert np.array_equal(wave.samples, want)
 
     def test_parasitic_free_steady_is_the_ideal_ratio(self, fast_params):
         p = fast_params
