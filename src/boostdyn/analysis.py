@@ -25,7 +25,7 @@ from .circuit import (
     StepKind,
     Waveform,
 )
-from .oracle import SwitchedTrace, simulate_averaged, simulate_switched
+from .oracle import simulate_averaged, simulate_switched
 from .steady import steady_output
 
 #: measured reference scalars (steady V, peak V) for the two bench scenarios
@@ -306,7 +306,7 @@ def compare_models(
             if model in solved:
                 fit = replace(ref_wave, samples=solved[model].at(ref_wave.times, event.t_event))
             else:
-                fit = _common_grid(ref_wave, waveforms[model])[1]
+                fit = _common_grid(ref_wave, waveforms[model])
             row_rmse = rmse(ref_wave, fit)
         rows.append(
             ModelRow(
@@ -323,12 +323,11 @@ def compare_models(
     return ComparisonTable(event=event, reference=reference, rows=tuple(rows))
 
 
-def _common_grid(ref: Waveform, other: Waveform) -> tuple[Waveform, Waveform]:
-    """Resample ``other`` onto ``ref``'s grid by linear interpolation."""
+def _common_grid(ref: Waveform, other: Waveform) -> Waveform:
+    """``other`` resampled onto ``ref``'s grid by linear interpolation."""
     if ref.t0 == other.t0 and ref.dt == other.dt and len(ref) == len(other):
-        return ref, other
-    resampled = np.interp(ref.times, other.times, other.samples)
-    return ref, Waveform(ref.t0, ref.dt, resampled)
+        return other
+    return Waveform(ref.t0, ref.dt, np.interp(ref.times, other.times, other.samples))
 
 
 # --- sweeps ----------------------------------------------------------------
@@ -581,16 +580,12 @@ class ScenarioPrediction:
     def v_max_reduction(self) -> float:
         return self.before.v_max - self.after.v_max
 
-    @property
-    def v_steady_change(self) -> float:
-        return self.after.v_steady - self.before.v_steady
-
 
 def scenario_predict(
     before: ConverterParams, after: ConverterParams, event: StepEvent
 ) -> ScenarioPrediction:
     """Transfer-function prediction of a component change: same event, both
-    parameter sets, with the overshoot reduction and steady-state cost."""
+    parameter sets, with the reduction of the peak."""
     return ScenarioPrediction(
         before=closed_form_metrics(before, event, "tfm"),
         after=closed_form_metrics(after, event, "tfm"),

@@ -205,18 +205,3 @@ def ebm_metrics(form: SecondOrderForm) -> ResponseMetrics:
     v_max = float(ebm_response(form, t_p))
     overshoot = 100.0 * (v_max - vinf) / vinf if vinf != 0 else 0.0
     return ResponseMetrics(vinf, v_max, t_p, overshoot, flags=flags)
-
-
-def inductor_peak_current(
-    p: ConverterParams, i_l_t0: float, t0: float, t1: float
-) -> float:
-    """Inductor current at the end of the charge phase spanning [t0, t1].
-
-    Linear ramp estimate: the on-phase share D of the window adds charge at
-    the rate set by the source minus the conduction drops at the entry
-    current.
-    """
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    rate = (p.v_i - i_l_t0 * p.r_l - i_l_t0 * p.r_m) / p.l
-    return i_l_t0 + p.d * (t1 - t0) * rate

@@ -182,12 +182,11 @@ def _cycle_table(rungs: list[list[np.ndarray]], on_steps: int, spc: int) -> np.n
 
 
 def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
-    """(i_L, v_C, 1) columns for samples 0..n with the first one set;
-    "steady" is the fixed point of the averaged modes."""
+    """(i_L, v_C, 1) columns for samples 0..n with the first one set by
+    ``initial_state``: "zero" is rest, "steady" the fixed point of the
+    averaged modes."""
     x = np.ones((3, n + 1))
-    if isinstance(initial_state, tuple):
-        x[:2, 0] = initial_state
-    elif initial_state == "zero":
+    if initial_state == "zero":
         x[:2, 0] = 0.0
     elif initial_state == "steady":
         # a x = -u by Cramer's rule, which leaves LAPACK unloaded
@@ -195,7 +194,7 @@ def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
         (a, b), (c, d), (u0, u1) = *mode.a, mode.u
         x[:2, 0] = (b * u1 - d * u0) / (a * d - b * c), (c * u0 - a * u1) / (a * d - b * c)
     else:
-        raise ValueError("initial_state must be 'zero', 'steady' or an (i_l, v_c) tuple")
+        raise ValueError("initial_state must be 'zero' or 'steady'")
     return x
 
 
@@ -232,8 +231,10 @@ def simulate_averaged(
     R0/(R0 + r_c) * (v_C + (1 - D) r_c i_L); parasitics off zeroes all four.
     Events swap the input voltage or the load at the nearest sample boundary.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, not {dt!r}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, not {t_end!r}")
     dt_max = min(math.sqrt(p.l * p.c) / 100.0, 1.0 / (20.0 * p.f_sw))
     if dt > dt_max:
         raise StepTooLarge(f"dt={dt:g} exceeds stability budget {dt_max:g}")
@@ -313,6 +314,8 @@ def simulate_switched(
     if steps_per_cycle < 50:
         raise ValueError("steps_per_cycle must be >= 50")
     period = p.period
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, not {t_end!r}")
     if t_end < 20.0 * period:
         raise ValueError("t_end must cover at least 20 switching periods")
 

@@ -1,8 +1,11 @@
 """Simultaneous-iteration polynomial root finding (Durand-Kerner).
 
-Degree is small and fixed in this library, so a global all-roots iteration
-on the monic polynomial is simpler and more predictable than companion
-matrix eigenvalues.
+``all_roots`` refines every root of the monic polynomial at once from
+starting points on a circle that encloses them all.  It stops when the
+largest update is at most ``tol`` (1e-13 by default) times the larger of 1
+and the largest root magnitude, or after ``max_iter`` sweeps (200 by
+default).  ``pair_conjugates`` then makes the roots of a real polynomial
+come in exact conjugate pairs.
 """
 
 from __future__ import annotations

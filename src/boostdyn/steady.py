@@ -61,15 +61,3 @@ def steady_inductor_current(p: ConverterParams) -> InductorCurrents:
     one_d = 1.0 - p.d
     i_out = (one_d * p.v_i - one_d**2 * p.v_d) / den
     return InductorCurrents(i_out=i_out, i_inductor=i_out / one_d)
-
-
-def ideal_steady_output(p: ConverterParams) -> float:
-    """Lossless boost ratio Vi / (1-D)."""
-    return p.v_i / (1.0 - p.d)
-
-
-def _steady_output_no_cap_esr(p: ConverterParams) -> float:
-    """Pre-correction steady form without the RC term; internal checks only."""
-    one_d = 1.0 - p.d
-    den = one_d**2 * p.r_0 + p.r_l + p.d * p.r_m
-    return (p.v_i - one_d * p.v_d) * one_d * p.r_0 / den

@@ -30,10 +30,6 @@ class ZeroInputVoltage(ModelDomainError):
     """The diode-drop correction divides by Vi; the TF needs Vi > 0."""
 
 
-class OverdampedTF(ModelDomainError):
-    """Closed-form peak expressions exist only for the oscillatory case."""
-
-
 @dataclass(frozen=True)
 class SecondOrderTF:
     """Rational transfer function (d_num s + f_num) / (a s^2 + b s + c)."""
@@ -49,15 +45,8 @@ class SecondOrderTF:
         return 4.0 * self.a * self.c - self.b * self.b
 
     @property
-    def is_underdamped(self) -> bool:
-        return self.discriminant > 0.0
-
-    @property
     def dc_gain(self) -> float:
         return self.f_num / self.c
-
-    def evaluate(self, s: complex) -> complex:
-        return (self.d_num * s + self.f_num) / (self.a * s * s + self.b * s + self.c)
 
 
 def line_tf_coefficients(p: ConverterParams) -> SecondOrderTF:
@@ -124,17 +113,3 @@ def line_step_metrics(tf: SecondOrderTF, base, k):
     if masked:
         v_max = np.where(under, v_max, v_steady)[()]
     return v_steady, v_max, t_p
-
-
-def line_peak_time(tf: SecondOrderTF) -> float:
-    """Time from step to the first output maximum, in closed form."""
-    if not tf.is_underdamped:
-        raise OverdampedTF("no oscillatory peak for real-pole systems")
-    return float(line_step_metrics(tf, 0.0, 1.0)[2])
-
-
-def line_peak_voltage(tf: SecondOrderTF, v_i: float) -> float:
-    """First peak of the response to a step of magnitude ``v_i``."""
-    if not tf.is_underdamped:
-        raise OverdampedTF("no oscillatory peak for real-pole systems")
-    return float(line_step_metrics(tf, 0.0, v_i)[1])

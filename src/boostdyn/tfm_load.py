@@ -13,7 +13,7 @@ bisection as the energy model's peak (``circuit._first_crossing``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +22,6 @@ from .circuit import (
     PEAK_SLOPE_TOL,
     ConverterParams,
     ModelDomainError,
-    NonFiniteTime,
     ResponseMetrics,
     _first_crossing,
 )
@@ -73,9 +72,6 @@ class QuarticTF:
     @property
     def dc_gain(self) -> float:
         return self.num[-1] / self.den[-1]
-
-    def evaluate(self, s: complex) -> complex:
-        return np.polyval(self.num, s) / np.polyval(self.den, s)
 
 
 @dataclass(frozen=True)
@@ -227,18 +223,6 @@ def load_modes(p: ConverterParams, delta_r0: float) -> ExpModeSum:
     if delta_r0 == 0.0:
         return ExpModeSum(offset=0.0, modes=())
     return invert_quartic_tf(load_tf_corrected(p, delta_r0))
-
-
-def load_response(p: ConverterParams, delta_r0: float, t):
-    """Total output voltage during a load step: pre-step steady value plus
-    the corrected deviation modes evaluated at ``t`` (seconds after the step)."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise NonFiniteTime("response requested at non-finite time")
-    if np.any(t_arr < 0):
-        raise ValueError("t must be >= 0")
-    out = steady_output(p) + load_modes(p, delta_r0).deviation(t_arr)
-    return float(out) if np.isscalar(t) else out
 
 
 def load_metrics(p: ConverterParams, delta_r0: float) -> ResponseMetrics:

@@ -10,7 +10,6 @@ from boostdyn.ebm import (
     ebm_metrics,
     ebm_response,
     initial_slope_for_load_step,
-    inductor_peak_current,
     load_step_form,
     ode_coefficients,
     response_slope,
@@ -214,18 +213,3 @@ class TestMetrics:
         flat = dataclasses.replace(lifted, dv0=0.0)
         assert lifted.dv0 > 0.0
         assert ebm_metrics(lifted).v_max >= ebm_metrics(flat).v_max
-
-
-class TestInductorPeakCurrent:
-    def test_zero_current_start(self, line_params):
-        p = line_params
-        got = inductor_peak_current(p, 0.0, 0.0, 1e-4)
-        assert got == pytest.approx(p.d * 1e-4 * p.v_i / p.l, rel=1e-12)
-
-    def test_vanishing_duty_changes_nothing(self):
-        p = params(d=1e-12)
-        assert inductor_peak_current(p, 0.3, 0.0, 1e-4) == pytest.approx(0.3, abs=1e-9)
-
-    def test_rejects_empty_window(self, line_params):
-        with pytest.raises(ValueError):
-            inductor_peak_current(line_params, 0.0, 1.0, 1.0)

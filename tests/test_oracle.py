@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boostdyn import StepEvent, StepKind, fr_step_response, oracle
+from boostdyn import StepEvent, StepKind, oracle
 from boostdyn.oracle import (
     StepTooLarge,
     WindowOutOfRange,
@@ -15,6 +15,7 @@ from boostdyn.oracle import (
     simulate_averaged,
     simulate_switched,
 )
+from boostdyn.refmodel import fr_step_response
 
 LOSSLESS = dict(r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
 
@@ -315,14 +316,23 @@ class TestInputChecks:
             simulate_switched(p, [], 49, 40 * p.period)
         with pytest.raises(ValueError, match="20 switching periods"):
             simulate_switched(p, [], 200, 19 * p.period)
-        with pytest.raises(ValueError, match="initial_state"):
-            simulate_switched(p, [], 200, 40 * p.period, initial_state="hot")
+        for t_end in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_end"):
+                simulate_switched(p, [], 200, t_end)
+        for initial in ("hot", (0.0, 5.0)):
+            with pytest.raises(ValueError, match="initial_state"):
+                simulate_switched(p, [], 200, 40 * p.period, initial_state=initial)
 
     def test_averaged_checks(self, fast_params):
         p = fast_params
         with pytest.raises(StepTooLarge):
             simulate_averaged(p, [], p.period / 10, 40 * p.period)
-        with pytest.raises(ValueError, match="t_end"):
-            simulate_averaged(p, [], p.period / 200, 0.0)
-        with pytest.raises(ValueError, match="initial_state"):
-            simulate_averaged(p, [], p.period / 200, p.period, initial_state="hot")
+        for dt in (0.0, -p.period / 200, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt"):
+                simulate_averaged(p, [], dt, 40 * p.period)
+        for t_end in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_end"):
+                simulate_averaged(p, [], p.period / 200, t_end)
+        for initial in ("hot", (0.0, 5.0)):
+            with pytest.raises(ValueError, match="initial_state"):
+                simulate_averaged(p, [], p.period / 200, p.period, initial_state=initial)

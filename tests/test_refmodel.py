@@ -5,7 +5,7 @@ import math
 import pytest
 
 from boostdyn.refmodel import fr_step_response, fr_tf
-from boostdyn.tfm_line import line_peak_voltage, line_tf_coefficients
+from boostdyn.tfm_line import line_step_metrics, line_tf_coefficients
 
 
 class TestFrTf:
@@ -38,7 +38,7 @@ class TestFrStepResponse:
 
     def test_peak_with_nominal_components(self, line_params):
         tf = fr_tf(line_params)
-        v_max = line_peak_voltage(tf, 3.3)
+        v_max = line_step_metrics(tf, 0.0, 3.3)[1]
         # textbook first peak of the zero-free second-order system:
         # Vi/(1-D) (1 + exp(-pi zeta / sqrt(1-zeta^2))), zeta = sqrt(L/C) / (2 R0 (1-D));
         # 11.96476590837739 at 40 digits
@@ -51,13 +51,13 @@ class TestFrStepResponse:
 
     def test_baseline_overshoot_dominates_parasitic_model(self, line_params):
         # damping only grows with parasitics across the bench neighborhood
-        fr_peak = line_peak_voltage(fr_tf(line_params), line_params.v_i)
+        fr_peak = line_step_metrics(fr_tf(line_params), 0.0, line_params.v_i)[1]
         fr_steady = line_params.v_i * fr_tf(line_params).dc_gain
         for r_l, r_c in itertools.product((1.3, 1.5, 1.7), (1.0, 1.3, 1.6)):
             p = dataclasses.replace(line_params, r_l=r_l, r_c=r_c)
             tf = line_tf_coefficients(p)
             steady = p.v_i * tf.dc_gain
             over_fr = fr_peak / fr_steady - 1.0
-            over_tfm = line_peak_voltage(tf, p.v_i) / steady - 1.0
+            over_tfm = line_step_metrics(tf, 0.0, p.v_i)[1] / steady - 1.0
             assert over_fr >= over_tfm
 

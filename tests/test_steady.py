@@ -3,13 +3,9 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boostdyn.circuit import ConverterParams, DischargedSourceWarning
-from boostdyn.steady import (
-    _steady_output_no_cap_esr,
-    ideal_steady_output,
-    steady_inductor_current,
-    steady_output,
-)
+from boostdyn.analysis import closed_form
+from boostdyn.circuit import ConverterParams, DischargedSourceWarning, StepEvent, StepKind
+from boostdyn.steady import steady_inductor_current, steady_output
 
 
 def params(**kw) -> ConverterParams:
@@ -17,6 +13,20 @@ def params(**kw) -> ConverterParams:
                 v_d=0.4, r_0=10.0, d=0.50, f_sw=1e4)
     base.update(kw)
     return ConverterParams(**base)
+
+
+def ideal_steady_output(p: ConverterParams) -> float:
+    """The parasitic-free (FR) steady level, which no load step moves."""
+    event = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2.0 * p.r_0)
+    return closed_form(p, event, "fr").metrics.v_steady
+
+
+def no_cap_esr_steady_output(p: ConverterParams) -> float:
+    """The pre-correction steady form, without the capacitor ESR:
+    (Vi - (1-D)Vd)(1-D)R0 / [(1-D)^2 R0 + RL + D RM]."""
+    one_d = 1.0 - p.d
+    den = one_d**2 * p.r_0 + p.r_l + p.d * p.r_m
+    return (p.v_i - one_d * p.v_d) * one_d * p.r_0 / den
 
 
 valid_params = st.builds(
@@ -113,7 +123,7 @@ class TestInductorCurrent:
 
     def test_pre_correction_form_matches_internal_helper(self, line_params):
         p = dataclasses.replace(line_params, r_c=0.0)
-        assert steady_output(p) == pytest.approx(_steady_output_no_cap_esr(p), rel=1e-12)
+        assert steady_output(p) == pytest.approx(no_cap_esr_steady_output(p), rel=1e-12)
 
 
 class TestIdealSteadyOutput:

@@ -10,11 +10,9 @@ from boostdyn.oracle import integrate_second_order
 from boostdyn.refmodel import fr_tf
 from boostdyn.steady import steady_output
 from boostdyn.tfm_line import (
-    OverdampedTF,
     SecondOrderTF,
     ZeroInputVoltage,
-    line_peak_time,
-    line_peak_voltage,
+    line_step_metrics,
     line_step_response,
     line_tf_coefficients,
     step_form,
@@ -43,7 +41,7 @@ def random_underdamped(rng) -> SecondOrderTF:
             v_d=rng.uniform(0.0, 0.8),
         )
         tf = line_tf_coefficients(p)
-        if tf.is_underdamped:
+        if tf.discriminant > 0:
             return tf
 
 
@@ -75,8 +73,8 @@ class TestCoefficients:
         tf = line_tf_coefficients(bare)
         ref = fr_tf(bare)
         for s in (0.0 + 0.0j, 100.0j):
-            ours = tf.evaluate(s)
-            theirs = ref.evaluate(s)
+            ours = np.polyval([tf.d_num, tf.f_num], s) / np.polyval([tf.a, tf.b, tf.c], s)
+            theirs = np.polyval([ref.d_num, ref.f_num], s) / np.polyval([ref.a, ref.b, ref.c], s)
             assert ours == pytest.approx(theirs, rel=1e-12)
 
     def test_requires_positive_input_voltage(self, line_params):
@@ -112,7 +110,7 @@ class TestStepResponse:
     def test_overdamped_fallback_matches_ode(self):
         p = params(l=5e-5, r_l=4.0, r_c=0.2)
         tf = line_tf_coefficients(p)
-        assert not tf.is_underdamped
+        assert tf.discriminant <= 0
         k = 3.3
         dt = 5e-8
         wave = integrate_second_order(
@@ -149,7 +147,7 @@ class TestStepForm:
 class TestPeak:
     def test_peak_time_against_dense_sampling(self, line_params):
         tf = line_tf_coefficients(line_params)
-        t_p = line_peak_time(tf)
+        t_p = line_step_metrics(tf, 0.0, 3.3)[2]
         ts = np.linspace(0.0, 3.0 * t_p, 30001)
         resp = line_step_response(tf, 3.3, ts)
         k = int(np.argmax(resp))
@@ -160,22 +158,22 @@ class TestPeak:
     def test_undamped_limit_is_half_period(self):
         tf = SecondOrderTF(a=1.0, b=1e-9, c=4.0, d_num=0.0, f_num=1.0)
         omega_d = math.sqrt(4.0 * tf.a * tf.c - tf.b**2) / (2.0 * tf.a)
-        assert line_peak_time(tf) == pytest.approx(math.pi / omega_d, rel=1e-6)
+        assert line_step_metrics(tf, 0.0, 1.0)[2] == pytest.approx(math.pi / omega_d, rel=1e-6)
 
     def test_peak_time_consistent_with_energy_model(self, line_params):
         tf = line_tf_coefficients(line_params)
         ebm_tp = ebm_metrics(startup_form(line_params)).t_p
-        assert abs(line_peak_time(tf) - ebm_tp) / ebm_tp < 0.15
+        assert abs(line_step_metrics(tf, 0.0, 3.3)[2] - ebm_tp) / ebm_tp < 0.15
 
     def test_line_bench_peak_voltage(self, line_params):
         tf = line_tf_coefficients(line_params)
-        v_max = line_peak_voltage(tf, 3.3)
+        v_max = line_step_metrics(tf, 0.0, 3.3)[1]
         assert v_max == pytest.approx(6.399969114856071, rel=1e-9)
         assert abs(v_max - 6.40) / 6.40 < 0.02
 
     def test_measured_component_column(self, line_params_measured):
         tf = line_tf_coefficients(line_params_measured)
-        v_max = line_peak_voltage(tf, 3.3)
+        v_max = line_step_metrics(tf, 0.0, 3.3)[1]
         assert abs(v_max - 6.74) / 6.74 < 0.05
 
     def test_vanishing_parasitics_approach_full_overshoot(self, line_params):
@@ -183,7 +181,7 @@ class TestPeak:
             line_params, r_l=1e-4, r_c=1e-4, r_m=1e-4, v_d=1e-4
         )
         tf = line_tf_coefficients(bare)
-        v_max = line_peak_voltage(tf, bare.v_i)
+        v_max = line_step_metrics(tf, 0.0, bare.v_i)[1]
         steady = bare.v_i * tf.dc_gain
         # the limit is the FR system, still damped by the load:
         # zeta = sqrt(L/C) / (2 R0 (1-D)), peak/steady = 1 + exp(-pi zeta / sqrt(1-zeta^2))
@@ -192,20 +190,18 @@ class TestPeak:
         assert v_max / steady == pytest.approx(limit, rel=1e-3)
         assert v_max < 2.0 * steady
 
-    def test_overdamped_raises(self):
+    def test_overdamped_has_no_peak(self):
         p = params(l=5e-5, r_l=4.0)
         tf = line_tf_coefficients(p)
-        with pytest.raises(OverdampedTF):
-            line_peak_time(tf)
-        with pytest.raises(OverdampedTF):
-            line_peak_voltage(tf, 3.3)
+        v_steady, v_max, t_p = line_step_metrics(tf, 0.0, 3.3)
+        assert math.isnan(t_p)
+        assert v_max == v_steady == pytest.approx(3.3 * tf.dc_gain, rel=1e-15)
 
     def test_peak_voltage_equals_response_at_peak_time(self):
         rng = np.random.default_rng(20240817)
         for _ in range(1000):
             tf = random_underdamped(rng)
-            t_p = line_peak_time(tf)
-            direct = line_peak_voltage(tf, 1.0)
+            _, direct, t_p = line_step_metrics(tf, 0.0, 1.0)
             sampled = line_step_response(tf, 1.0, t_p)
             assert abs(direct - sampled) <= 1e-9 * abs(direct)
 
