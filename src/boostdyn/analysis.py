@@ -518,6 +518,8 @@ def steepest_descent(
             raise UnsupportedAxisPair(f"{name!r} is not a sweepable parameter")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, not {max_steps!r}")
 
     target_steady = steady_output(p)
     target_lc = p.l * p.c

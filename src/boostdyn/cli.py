@@ -211,6 +211,9 @@ def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
+    if args.engine == "switched" and args.parasitics == "off":
+        raise ConfigError("--parasitics off applies to --engine averaged only; "
+                          "the switched engine always simulates the parasitics")
     p = parse_converter(cfg)
     event = parse_event(cfg, p) if "event" in cfg else None
     steps_per_cycle, dt, t_end = _sampling(cfg, p, event)

@@ -307,6 +307,12 @@ class TestSteepestDescent:
         with pytest.raises(ValueError, match="distinct"):
             analysis.steepest_descent(line_params, ["l", "l"])
 
+    def test_negative_max_steps_is_refused(self, line_params):
+        with pytest.raises(ValueError, match="max_steps"):
+            analysis.steepest_descent(line_params, ("l", "c"), max_steps=-3)
+        # no steps: the path is the starting design alone
+        assert len(analysis.steepest_descent(line_params, ("l", "c"), max_steps=0).steps) == 1
+
 
 class TestResolveDuty:
     def test_takes_the_root_nearest_the_current_duty(self, load_params):

@@ -79,6 +79,17 @@ class TestSimulate:
         want = simulate_switched(sim_p, events, 200, t_end, initial_state=initial).v_out
         assert np.array_equal(v, want)
 
+    def test_switched_engine_refuses_parasitics_off(self, fast_params, tmp_path, capsys):
+        config = write_config(tmp_path, fast_params, solver={"t_end": 30 * fast_params.period})
+        out = tmp_path / "wave.csv"
+        assert cli.main(["simulate", "--engine", "switched", "--parasitics", "off",
+                         "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        payload = json.loads(captured.err)
+        assert (payload["error"], payload["exit_code"]) == ("ConfigError", 2)
+        assert "--parasitics" in payload["message"] and "--engine" in payload["message"]
+
 
 class TestPredict:
     def test_waveform_csv_is_the_closed_form_solve(self, line_params, tmp_path, capsys):
@@ -210,6 +221,7 @@ MALFORMED = {
     "sweep-bound-nan": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "hi": NAN}}}),
     "axis-n-zero": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "n": 0}}}),
     "log-axis-lo-zero": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "lo": 0.0, "log": True}}}),
+    "descent-max-steps-negative": ("descend", {"descent": {"free": ["l", "c"], "max_steps": -3}}),
     "log-axis-hi-negative": ("sweep", {"sweep": {**SWEEP, "axis2": {**AXIS, "hi": -1e-4,
                                                                     "log": True}}}),
 }

@@ -4,14 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boostdyn import StepEvent, StepKind, oracle
+from boostdyn import StepEvent, StepKind, ebm, oracle
 from boostdyn.oracle import (
-    StepTooLarge,
+    NonFiniteState,
     WindowOutOfRange,
     _advance,
     _ladder,
     _modes,
     energy_audit,
+    integrate_second_order,
     simulate_averaged,
     simulate_switched,
 )
@@ -123,6 +124,55 @@ class TestModeSteps:
             assert x[1, k] == pytest.approx(v_c, rel=1e-12)
 
 
+def assert_exact(wave, exact):
+    assert np.max(np.abs(wave.samples - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+class TestSecondOrder:
+    """The independent check of the closed forms against exact solutions."""
+
+    @pytest.mark.parametrize("converter", ["line_params", "load_params", "fast_params"])
+    @pytest.mark.parametrize("r_ratio", [None, 15.0, 0.4])
+    def test_ebm_closed_forms(self, request, converter, r_ratio):
+        # the scaled companion state is what holds these to 1e-12: stepping
+        # (v, v') itself misses 8 of the 9, by up to 1.7e-11
+        p = request.getfixturevalue(converter)
+        if r_ratio is None:
+            form, co = ebm.startup_form(p), ebm.ode_coefficients(p)
+        else:
+            form = ebm.load_step_form(p, p.r_0, r_ratio * p.r_0)
+            co = ebm.ode_coefficients(p, r_0=r_ratio * p.r_0)
+        t_end = 8.0 / (form.xi * form.omega0)
+        wave = integrate_second_order(co.m2, co.m1, co.m0, co.forcing, form.v0, form.dv0,
+                                      t_end / 2000, t_end)
+        assert_exact(wave, ebm.ebm_response(form, wave.times))
+
+    def test_critically_damped(self):
+        wave = integrate_second_order(1.0, 2.0, 1.0, 2.0, 0.0, 0.5, 1e-4, 20.0)
+        assert len(wave) == 200001
+        t = wave.times
+        assert_exact(wave, 2.0 - (2.0 + 1.5 * t) * np.exp(-t))
+
+    def test_double_integrator(self):
+        # m0 = 0: no restoring term, so the state is left unscaled
+        wave = integrate_second_order(2.0, 0.0, 0.0, 3.0, 1.0, -0.5, 1e-3, 10.0)
+        t = wave.times
+        assert_exact(wave, 1.0 - 0.5 * t + 3.0 * t**2 / (2 * 2.0))
+
+    def test_negative_stiffness_grows_as_a_cosh(self):
+        # v'' - 4 v = -8 from v = 3 at rest: v = 2 + cosh(2 t)
+        wave = integrate_second_order(1.0, 0.0, -4.0, -8.0, 3.0, 0.0, 1e-3, 5.0)
+        assert_exact(wave, 2.0 + np.cosh(2.0 * wave.times))
+
+    def test_checks(self):
+        for dt, t_end in ((0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)):
+            with pytest.raises(ValueError, match="dt and t_end"):
+                integrate_second_order(1.0, 0.0, 1.0, 0.0, 1.0, 0.0, dt, t_end)
+        # cosh(1000 t) overflows
+        with pytest.raises(NonFiniteState):
+            integrate_second_order(1.0, 0.0, -1e6, 0.0, 1.0, 0.0, 1e-3, 1.0)
+
+
 class TestAveraged:
     def test_parasitic_free_run_is_the_fr_response(self, line_params):
         p = line_params
@@ -156,8 +206,8 @@ class TestAveraged:
         # the parasitic-free output is v_C, which the load step leaves continuous
         assert both.samples[10000] == pytest.approx(first.samples[-1], rel=1e-12)
 
-    def test_one_ladder_per_input_and_load(self, fast_params, monkeypatch):
-        # 30,001 samples in 8 blocks of 4,096, and a load step inside the fourth
+    def test_one_ladder_per_stretch(self, fast_params, monkeypatch):
+        # 30,001 samples with a load step at 70 periods: two stretches
         p = fast_params
         dt = p.period / 200
         step = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2 * p.r_0, 70 * p.period)
@@ -169,19 +219,17 @@ class TestAveraged:
 
         monkeypatch.setattr(oracle, "_ladder", counting)
         wave = simulate_averaged(p, [step], dt, 150 * p.period)
-        assert calls == [oracle._BLOCK, oracle._BLOCK]
+        assert calls == [14000, 16000]
 
-        # the same run with a ladder built for each stretch
+        # the same run rebuilt stretch by stretch
         n = len(wave) - 1
-        x = oracle._state_grid(p, "zero", oracle._BLOCK)
+        x = oracle._state_grid(p, "zero", n)
         want = np.empty(n + 1)
-        cuts = range(oracle._BLOCK, n, oracle._BLOCK)
-        for a, b, v_i, r_0 in oracle._segments(p, [step], dt, n, cuts):
+        for a, b, v_i, r_0 in oracle._segments(p, [step], dt, n, ()):
             mode = oracle._averaged_mode(p, v_i, r_0)
-            seg = x[:, : b - a + 1]
+            seg = x[:, a : b + 1]
             _advance(seg, _ladder(mode, dt, b - a))
             want[a : b + 1] = mode.out @ seg[:2]
-            x[:, 0] = seg[:, -1]
         assert np.array_equal(wave.samples, want)
 
     def test_parasitic_free_steady_is_the_ideal_ratio(self, fast_params):
@@ -325,8 +373,10 @@ class TestInputChecks:
 
     def test_averaged_checks(self, fast_params):
         p = fast_params
-        with pytest.raises(StepTooLarge):
-            simulate_averaged(p, [], p.period / 10, 40 * p.period)
+        # exact steps need no stability budget: a coarse grid samples the fine run
+        coarse = simulate_averaged(p, [], p.period / 10, 40 * p.period).samples
+        fine = simulate_averaged(p, [], p.period / 200, 40 * p.period).samples
+        assert np.max(np.abs(coarse - fine[::20])) <= 1e-12 * np.max(np.abs(fine))
         for dt in (0.0, -p.period / 200, math.inf, math.nan):
             with pytest.raises(ValueError, match="dt"):
                 simulate_averaged(p, [], dt, 40 * p.period)
