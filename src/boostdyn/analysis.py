@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -40,10 +41,6 @@ class ZeroReference(ModelDomainError):
     """Relative error against a zero reference value is undefined."""
 
 
-class GridMismatch(ModelDomainError):
-    """Waveforms must share t0, dt and length to be compared pointwise."""
-
-
 class NotSettled(ModelDomainError):
     """The waveform tail still moves too much to call a steady value."""
 
@@ -63,30 +60,24 @@ def error_percent(y_actual: float, y_fit: float) -> float:
     return abs(y_actual - y_fit) / abs(y_actual) * 100.0
 
 
-def rmse(actual: Waveform, fit: Waveform) -> float:
-    """Root-mean-square sample error between two waveforms on one grid."""
-    if (
-        actual.t0 != fit.t0
-        or actual.dt != fit.dt
-        or actual.samples.size != fit.samples.size
-    ):
-        raise GridMismatch("waveforms are sampled on different grids")
-    diff = actual.samples - fit.samples
+def rmse(actual: np.ndarray, fit: np.ndarray) -> float:
+    """Root-mean-square error between two sample arrays of one grid."""
+    diff = actual - fit
     return float(np.sqrt(np.mean(diff * diff)))
 
 
 def extract_metrics(w: Waveform, t_event: float) -> ResponseMetrics:
     """Steady value, refined peak and peak time of a sampled waveform.
 
-    The steady value averages the final 10 percent of samples, which must
-    vary by less than 0.5 percent; the peak is the post-event maximum
-    sharpened by three-point quadratic interpolation.
+    The steady value averages the final 10 percent of the post-event
+    samples, which must vary by less than 0.5 percent; the peak is the
+    post-event maximum sharpened by three-point quadratic interpolation.
     """
     start = max(0, int(math.ceil((t_event - w.t0) / w.dt)))
     seg = w.samples[start:]
     if seg.size == 0:
         raise ValueError(f"no sample lies after t_event = {t_event:g} s")
-    tail = w.samples[-max(1, w.samples.size // 10):]
+    tail = seg[-max(1, seg.size // 10):]
     mean = float(np.mean(tail))
     span = float(np.max(tail) - np.min(tail))
     if mean == 0 or span / abs(mean) >= 0.005:
@@ -235,12 +226,14 @@ def simulation_setup(
     p: ConverterParams, event: Optional[StepEvent], initial_without_event: str = "zero"
 ) -> tuple[ConverterParams, str, list[StepEvent]]:
     """(params, initial state, events) of an oracle run of ``event`` on ``p``:
-    an input step starts from rest at the pre-step input, a load step steady
-    at the pre-step load, and no event from ``initial_without_event``."""
+    an event starts steady at the pre-event input or load, a cold input
+    step (no input before it) from rest, and no event from
+    ``initial_without_event``."""
     if event is None:
         return p, initial_without_event, []
     if event.kind is StepKind.INPUT_VOLTAGE:
-        return replace(p, v_i=event.value_before), "zero", [event]
+        initial = "steady" if event.value_before else "zero"
+        return replace(p, v_i=event.value_before), initial, [event]
     return replace(p, r_0=event.value_before), "steady", [event]
 
 
@@ -255,13 +248,14 @@ def compare_models(
     switched oracle, each with metrics and errors against the reference.
 
     The oracles sample every ``p.period / steps_per_cycle``; the switched
-    row is their cycle averages, one per cycle at its midpoint.  Each row's
-    rmse is taken on the reference's own grid: a closed form is evaluated
-    exactly at the reference's sample times, and an oracle row is
-    interpolated linearly onto them.  A closed form is sampled on the fine
-    grid only when it is the reference.  ``reference`` is a row name or
-    "aer" to score against the embedded measured scalars (no waveform, so
-    no rmse in that mode).
+    row is their cycle averages, one per cycle at its midpoint.  Every row
+    has one sampler, its output at given times: a closed form evaluated
+    exactly, an oracle interpolated linearly between its samples.  Each
+    row's rmse calls it on the reference's own grid: the oracle reference's
+    samples, or a closed-form reference sampled on the fine grid, the only
+    time a closed form is.  ``reference`` is a row name or "aer" to score
+    against the embedded measured scalars (no waveform, so no rmse in that
+    mode).
     """
     if t_end is None:
         t_end = default_comparison_t_end(p, event)
@@ -270,20 +264,24 @@ def compare_models(
     sim_p, initial, events = simulation_setup(p, event)
     trace = simulate_switched(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
 
-    solved = {model: closed_form(p, event, model) for model in ("ebm", "tfm", "fr")}
-    metrics: dict[str, ResponseMetrics] = {m: s.metrics for m, s in solved.items()}
-    waveforms: dict[str, Waveform] = {}
+    def sampled(metrics: ResponseMetrics, wave: Waveform) -> tuple:
+        """An oracle row; its sample times are made only when it is scored."""
+        return metrics, lambda t: np.interp(t, wave.times, wave.samples), lambda: wave
 
+    # model -> (metrics, its output at given times, its own waveform)
+    solved: dict[str, tuple] = {}
+    for model in ("ebm", "tfm", "fr"):
+        form = closed_form(p, event, model)
+        solved[model] = (form.metrics, partial(form.at, t_event=event.t_event),
+                         partial(form.waveform, event.t_event, dt, t_end))
     for name, parasitics in (("avg+par", True), ("avg-par", False)):
         wave = simulate_averaged(
             sim_p, events, dt, t_end, include_parasitics=parasitics, initial_state=initial
         )
-        waveforms[name] = wave
-        metrics[name] = extract_metrics(wave, event.t_event)
-
+        solved[name] = sampled(extract_metrics(wave, event.t_event), wave)
     cyc = trace.cycle_averaged()
-    metrics["switched"] = replace(extract_metrics(cyc, event.t_event), flags=trace.flags)
-    waveforms["switched"] = cyc
+    switched = replace(extract_metrics(cyc, event.t_event), flags=trace.flags)
+    solved["switched"] = sampled(switched, cyc)
 
     if reference == "aer":
         ref_steady, ref_peak = (
@@ -291,43 +289,22 @@ def compare_models(
         )
         ref_wave = None
     else:
-        ref_m = metrics[reference]
+        ref_m, _, own_wave = solved[reference]
         ref_steady, ref_peak = ref_m.v_steady, ref_m.v_max
-        if reference in solved:
-            ref_wave = solved[reference].waveform(event.t_event, dt, t_end)
-        else:
-            ref_wave = waveforms[reference]
+        ref_wave = own_wave()
 
     rows = []
     for model in MODEL_ROWS:
-        m = metrics[model]
-        row_rmse = None
-        if ref_wave is not None and model != reference:
-            if model in solved:
-                fit = replace(ref_wave, samples=solved[model].at(ref_wave.times, event.t_event))
-            else:
-                fit = _common_grid(ref_wave, waveforms[model])
-            row_rmse = rmse(ref_wave, fit)
-        rows.append(
-            ModelRow(
-                model=model,
-                v_steady=m.v_steady,
-                v_max=m.v_max,
-                t_p=m.t_p,
-                steady_error_pct=error_percent(ref_steady, m.v_steady),
-                dynamic_error_pct=error_percent(ref_peak, m.v_max),
-                rmse_v=row_rmse,
-                flags=m.flags,
-            )
-        )
+        m, at, _ = solved[model]
+        scored = ref_wave is not None and model != reference
+        rows.append(ModelRow(
+            model=model, v_steady=m.v_steady, v_max=m.v_max, t_p=m.t_p,
+            steady_error_pct=error_percent(ref_steady, m.v_steady),
+            dynamic_error_pct=error_percent(ref_peak, m.v_max),
+            rmse_v=rmse(ref_wave.samples, at(ref_wave.times)) if scored else None,
+            flags=m.flags,
+        ))
     return ComparisonTable(event=event, reference=reference, rows=tuple(rows))
-
-
-def _common_grid(ref: Waveform, other: Waveform) -> Waveform:
-    """``other`` resampled onto ``ref``'s grid by linear interpolation."""
-    if ref.t0 == other.t0 and ref.dt == other.dt and len(ref) == len(other):
-        return other
-    return Waveform(ref.t0, ref.dt, np.interp(ref.times, other.times, other.samples))
 
 
 # --- sweeps ----------------------------------------------------------------

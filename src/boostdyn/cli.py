@@ -202,11 +202,11 @@ def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
     p = parse_converter(cfg)
     event = parse_event(cfg, p)
     solved = analysis.closed_form(p, event, args.model)
-    payload = {"model": args.model, **asdict(solved.metrics)}
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if args.waveform:
+    if args.waveform:  # first, so that a failure leaves stdout empty
         _, dt, t_end = _sampling(cfg, p, event)
         write_waveform_csv(args.waveform, solved.waveform(event.t_event, dt, t_end))
+    payload = {"model": args.model, **asdict(solved.metrics)}
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -146,8 +146,10 @@ def integrate_second_order(m2: float, m1: float, m0: float, forcing: float,
     response in the library: it steps the ODE's companion state with the
     oracles' exact maps, and uses neither its roots nor trigonometry.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, not {dt!r}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, not {t_end!r}")
     n = int(round(t_end / dt))
     # the state is (v, v'/w) with w = sqrt|m0/m2|: on these circuits v' is
     # ~1e4 v, and with the unscaled (v, v') the doubled maps lose digits

@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from boostdyn import (ConverterParams, StepEvent, StepKind, analysis, simulate_switched,
-                      tfm_line, tfm_load)
+from boostdyn import (ConverterParams, StepEvent, StepKind, Waveform, analysis,
+                      simulate_switched, tfm_line, tfm_load)
 from boostdyn.circuit import ModelDomainError, ParameterError
 from boostdyn.steady import steady_output
 
@@ -68,8 +68,24 @@ class TestCompareModels:
         for model in ("ebm", "tfm", "fr"):
             fine = analysis.closed_form(p, event, model).waveform(event.t_event, p.period / 200,
                                                                   t_end)
-            want = analysis.rmse(ref, analysis._common_grid(ref, fine))
+            want = analysis.rmse(ref.samples, np.interp(ref.times, fine.times, fine.samples))
             assert table.row(model).rmse_v == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_warm_input_step_starts_the_oracles_steady(self, fast_params):
+        # avg-par and fr are one ideal circuit, both steady at the pre-step input
+        table = analysis.compare_models(fast_params, StepEvent(StepKind.INPUT_VOLTAGE, 2.0, 3.0))
+        assert table.row("avg-par").v_max == pytest.approx(table.row("fr").v_max, rel=1e-9)
+
+    def test_late_cold_step_settles_like_an_early_one(self, fast_params):
+        # 0.05 s of rest is over 90 % of the horizon: only post-event samples
+        # may make the settled window
+        early, late = (analysis.compare_models(fast_params, StepEvent(
+            StepKind.INPUT_VOLTAGE, 0.0, 3.0, t_event), steps_per_cycle=50)
+            for t_event in (0.0, 0.05))
+        for model in ("avg-par", "switched"):
+            assert late.row(model).v_steady == pytest.approx(early.row(model).v_steady, rel=1e-12)
+            assert late.row(model).v_max == pytest.approx(early.row(model).v_max, rel=1e-12)
+            assert late.row(model).t_p == pytest.approx(early.row(model).t_p, rel=1e-9)
 
     def test_closed_forms_are_sampled_on_the_fine_grid_only_as_the_reference(
             self, fast_params, monkeypatch):
@@ -100,6 +116,48 @@ class TestCompareModels:
         event = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0, t_event=0.05)
         with pytest.raises(ValueError, match="t_event"):
             analysis.compare_models(load_params, event, t_end=0.01)
+
+
+def parabola_with_plateau(t_vertex=1.234, dt=0.1, n=60, t0=0.0):
+    """5 - (t - t_vertex)^2, floored at 4: settled at 4 from t_vertex + 1 on."""
+    t = t0 + dt * np.arange(n)
+    return Waveform(t0, dt, np.maximum(5.0 - (t - t_vertex) ** 2, 4.0))
+
+
+class TestExtractMetrics:
+    def test_quadratic_refinement_is_exact_on_a_parabola(self):
+        # the vertex lies between samples 12 and 13
+        m = analysis.extract_metrics(parabola_with_plateau(), 0.0)
+        assert m.v_steady == 4.0
+        assert m.v_max == pytest.approx(5.0, rel=1e-14)
+        assert m.t_p == pytest.approx(1.234, rel=1e-12)
+        assert m.overshoot_pct == pytest.approx(25.0, rel=1e-12)
+
+    def test_moving_tail_is_not_settled(self):
+        # the last 10 samples rise by 0.6 % and by 0.4 % of their level
+        for rise, settled in ((0.006, False), (0.004, True)):
+            samples = np.ones(100)
+            samples[90:] += np.linspace(0.0, rise, 10)
+            w = Waveform(0.0, 1.0, samples)
+            if settled:
+                assert analysis.extract_metrics(w, 0.0).v_steady == pytest.approx(1.0 + rise / 2)
+            else:
+                with pytest.raises(analysis.NotSettled):
+                    analysis.extract_metrics(w, 0.0)
+
+    def test_event_after_the_last_sample_is_named(self):
+        with pytest.raises(ValueError, match="no sample lies after t_event"):
+            analysis.extract_metrics(parabola_with_plateau(), 6.0)
+
+    def test_settled_window_is_the_last_tenth_after_the_event(self):
+        # 940 samples of rest, then 60 of the parabola: the last tenth of the
+        # whole waveform would take in 40 samples of rest
+        step = parabola_with_plateau()
+        samples = np.concatenate([np.zeros(940), step.samples])
+        m = analysis.extract_metrics(Waveform(0.0, 0.1, samples), 94.0)
+        want = analysis.extract_metrics(step, 0.0)
+        assert (m.v_steady, m.v_max) == (want.v_steady, want.v_max)
+        assert m.t_p == pytest.approx(want.t_p, rel=1e-12)
 
 
 class TestClosedForm:

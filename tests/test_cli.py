@@ -25,11 +25,12 @@ def write_config(tmp_path, p, **blocks):
 
 
 class TestSimulationSetup:
-    def test_input_step_starts_from_rest_before_the_step(self, line_params):
-        event = StepEvent(StepKind.INPUT_VOLTAGE, 1.0, line_params.v_i)
-        sim_p, initial, events = analysis.simulation_setup(line_params, event)
-        assert sim_p == dataclasses.replace(line_params, v_i=1.0)
-        assert (initial, events) == ("zero", [event])
+    def test_warm_input_step_starts_steady_and_a_cold_one_from_rest(self, line_params):
+        for before, want in ((1.0, "steady"), (0.0, "zero")):
+            event = StepEvent(StepKind.INPUT_VOLTAGE, before, line_params.v_i)
+            sim_p, initial, events = analysis.simulation_setup(line_params, event)
+            assert sim_p == dataclasses.replace(line_params, v_i=before)
+            assert (initial, events) == (want, [event])
 
     def test_load_step_starts_steady_at_the_pre_step_load(self, load_params):
         event = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0)
@@ -118,6 +119,22 @@ class TestPredict:
         assert out.read_text() == printed
         assert json.loads(printed)["model"] == "tfm"
 
+
+    @pytest.mark.parametrize("t_end, waveform, error, code", [
+        (-1.0, "wave.csv", "ValueError", 2),
+        # 1e17 samples: one array larger than any address space
+        (5e9, "wave.csv", "MemoryError", 1),
+        (None, "missing/wave.csv", "FileNotFoundError", 1),
+    ], ids=["negative-horizon", "horizon-beyond-memory", "unwritable-path"])
+    def test_failed_waveform_leaves_stdout_empty(self, fast_params, tmp_path, capsys,
+                                                 t_end, waveform, error, code):
+        config = write_config(tmp_path, fast_params, event=COLD, solver={"t_end": t_end})
+        out = tmp_path / waveform
+        assert cli.main(["predict", "--config", config, "--waveform", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        payload = json.loads(captured.err)
+        assert (payload["error"], payload["exit_code"]) == (error, code)
 
 class TestCompare:
     def test_csv_is_the_library_table(self, fast_params, tmp_path):

@@ -165,8 +165,11 @@ class TestSecondOrder:
         assert_exact(wave, 2.0 + np.cosh(2.0 * wave.times))
 
     def test_checks(self):
-        for dt, t_end in ((0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)):
-            with pytest.raises(ValueError, match="dt and t_end"):
+        nan, inf = math.nan, math.inf
+        for dt, t_end, name in ((0.0, 1.0, "dt"), (-1e-3, 1.0, "dt"), (nan, 1.0, "dt"),
+                                (inf, 1.0, "dt"), (1e-3, 0.0, "t_end"), (1e-3, -1.0, "t_end"),
+                                (1e-3, nan, "t_end"), (1e-3, inf, "t_end")):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
                 integrate_second_order(1.0, 0.0, 1.0, 0.0, 1.0, 0.0, dt, t_end)
         # cosh(1000 t) overflows
         with pytest.raises(NonFiniteState):
