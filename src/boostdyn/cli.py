@@ -35,7 +35,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -238,7 +238,8 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
                                     steps_per_cycle=steps_per_cycle)
     # the columns are ModelRow's fields, its flags joined by ";"
     header = ["model", "v_steady", "v_max", "t_p", "steady_error_pct", "dynamic_error_pct", "rmse", "flags"]
-    rows = [[*astuple(r)[:-1], ";".join(r.flags)] for r in table.rows]
+    rows = [[r.model, r.v_steady, r.v_max, r.t_p, r.steady_error_pct, r.dynamic_error_pct,
+             r.rmse_v, ";".join(r.flags)] for r in table.rows]
     write_csv(args.out, header, rows)
     return 0
 

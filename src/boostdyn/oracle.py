@@ -12,17 +12,18 @@ IEEE TAC 1978), and a run of substeps is filled by doubling its powers.
 The averaged simulator steps the duty-weighted average of the switched
 modes (Middlebrook and Cuk, PESC 1976).
 
-The switched simulator fills a whole cycle with one product: a cycle table,
-built once per (input, load), holds the exact maps from a cycle's start
-state to each of its samples, on-mode powers and then off-mode powers
-times the on phase.  A cycle whose off phase dips below i_L = 0, or that an
-event splits, is stepped stretch by stretch instead, with the clamp and the
-idle mode of discontinuous conduction.  All grids are fixed, so repeated
-runs produce identical waveforms.
+The switched simulator runs at cycle rate in continuous conduction, where a
+cycle is one affine map x -> phi x + gamma (the sampled-data model of
+Verghese, Elbuluk and Kassakian, IEEE TPEL 1986): doubling that map gives
+the starts of a run of cycles, and one product with a cycle table of the
+exact maps to each sample fills them all.  Discontinuous conduction and
+cycles that an event splits are stepped stretch by stretch.  All grids are
+fixed, so repeated runs produce identical waveforms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
@@ -100,7 +101,11 @@ def _ladder(mode: _Mode, h: float, steps: int) -> list[np.ndarray]:
     """
     aug = np.zeros((3, 3))
     aug[:2] = np.column_stack([mode.a, mode.u]) * h
-    e = _expm(aug)
+    return _doublings(_expm(aug), steps)
+
+
+def _doublings(e: np.ndarray, steps: int) -> list[np.ndarray]:
+    """Rows [phi, gamma] of e = [[phi, gamma], [0, 1]] and of its powers 2, 4, ... <= steps."""
     rungs = [e[:2]]
     while 2 ** len(rungs) <= steps:
         e = e @ e
@@ -110,7 +115,7 @@ def _ladder(mode: _Mode, h: float, steps: int) -> list[np.ndarray]:
 
 def _advance(x: np.ndarray, rungs: list[np.ndarray]) -> None:
     """Fill the (x, 1) columns x[..., 1:] from x[..., 0] by exact
-    steps of one mode; the rung over ``span`` substeps maps columns
+    steps of one affine map; the rung over ``span`` steps maps columns
     [0, span) onto [span, 2 span).  Leading axes of x are a batch."""
     k = x.shape[-1] - 1
     span = 1
@@ -123,7 +128,7 @@ def _advance(x: np.ndarray, rungs: list[np.ndarray]) -> None:
 
 
 def _cycle_table(rungs: list[list[np.ndarray]], on_steps: int, spc: int) -> np.ndarray:
-    """The exact maps, shape (2, spc, 3), from a cycle's start column
+    """The exact maps, shape (2, 3, spc), from a cycle's start column
     (i_L, v_C, 1) to its samples 1..spc when its inductor current never
     falls below zero: the on-mode powers, then the off-mode powers times
     the whole on phase.  Built by advancing the three unit columns."""
@@ -135,7 +140,7 @@ def _cycle_table(rungs: list[list[np.ndarray]], on_steps: int, spc: int) -> np.n
         _advance(run, mode_rungs)
         maps.append(run[:, :2, 1:])
         start = run[:, :, -1]
-    return np.ascontiguousarray(np.concatenate(maps, axis=2).transpose(1, 2, 0))
+    return np.ascontiguousarray(np.concatenate(maps, axis=2).transpose(1, 0, 2))
 
 
 def integrate_second_order(m2: float, m1: float, m0: float, forcing: float,
@@ -184,13 +189,13 @@ def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
     return x
 
 
-def _segments(p: ConverterParams, events: Sequence[StepEvent], dt: float, n: int, cuts):
-    """(a, b, v_i, r_0) for each stretch [a, b] of the grid 0..n between cuts
-    and event samples, with the input and load in force from sample a on.
-    An event acts from its nearest sample, in the order given."""
+def _segments(p: ConverterParams, events: Sequence[StepEvent], dt: float, n: int):
+    """(a, b, v_i, r_0) for each stretch [a, b] of the grid 0..n between event
+    samples, with the input and load in force from sample a on.  An event
+    acts from its nearest sample, in the order given."""
     at = sorted(((int(round(ev.t_event / dt)), ev) for ev in events), key=lambda e: e[0])
     at = [(idx, ev) for idx, ev in at if idx <= n]
-    bounds = sorted({0, n, *(c for c in cuts if c < n), *(idx for idx, _ in at)})
+    bounds = sorted({0, n, *(idx for idx, _ in at)})
     v_i, r_0 = p.v_i, p.r_0
     for a, b in zip(bounds, bounds[1:] or [0]):
         while at and at[0][0] <= a:
@@ -227,8 +232,11 @@ def simulate_averaged(
     n = int(round(t_end / dt))
     x = _state_grid(p, initial_state, n)
     out = np.empty(n + 1)
-    for a, b, v_i, r_0 in _segments(p, events, dt, n, ()):
+    for a, b, v_i, r_0 in _segments(p, events, dt, n):
         mode = _averaged_mode(p, v_i, r_0)
+        if x[0, a] <= 0.0 and v_i <= (1.0 - p.d) * p.v_d:
+            # the averaged inductor voltage is <= 0 at i_L = 0: the diode blocks
+            mode, x[0, a] = _modes(p, v_i, r_0)[2], 0.0
         seg = x[:, a : b + 1]
         _advance(seg, _ladder(mode, dt, b - a))
         np.matmul(mode.out, seg[:2], out=out[a : b + 1])
@@ -278,13 +286,14 @@ def simulate_switched(
     """Cycle-by-cycle simulation of the switched circuit, exact within each mode.
 
     Each cycle runs round(D * steps_per_cycle) substeps in the on mode and
-    the rest in the off mode.  A whole cycle that starts with i_L >= 0 is
-    filled by one product with its cycle table (``_cycle_table``), built
-    once per (input, load).  If its off phase dips below i_L = 0, and in a
-    cycle that an event splits, the phases are stepped stretch by stretch
-    instead: the first off-phase substep that ends with negative inductor
-    current is clamped to zero and flags the trace "dcm"; the idle mode then
-    runs until the output falls to v_i - v_d, where the diode conducts again.
+    the rest in the off mode.  Whole cycles that start with i_L >= 0 are
+    filled in batches: doubling the one-cycle map of the cycle table
+    (``_cycle_table``, built once per input and load) gives their starts,
+    and one product with the table all their samples.  From an off phase
+    that dips below i_L = 0, and in a cycle that an event splits, stretches
+    are stepped one by one: an off substep that ends below zero is clamped
+    and flags the trace "dcm", and the idle mode runs until the output falls
+    to v_i - v_d.  After a clamp the batch restarts at one cycle and doubles.
     """
     if steps_per_cycle < 50:
         raise ValueError("steps_per_cycle must be >= 50")
@@ -301,43 +310,63 @@ def simulate_switched(
     x = _state_grid(p, initial_state, n)
     v_i_applied = np.empty(n + 1)
     r_0_applied = np.empty(n + 1)
-    cycles: dict[tuple[float, float], tuple[list, np.ndarray]] = {}
+    # the ladder of the on (0), off (1) or idle (2) mode, built at its first use
+    rungs = functools.cache(lambda v_i, r_0, mode: _ladder(_modes(p, v_i, r_0)[mode], dt, spc))
+    cycles: dict[tuple[float, float], tuple[np.ndarray, list]] = {}
     dcm = False
+    batch = n // spc
 
-    for a, b, v_i, r_0 in _segments(p, events, dt, n, range(spc, n, spc)):
+    for a, b, v_i, r_0 in _segments(p, events, dt, n):
         v_i_applied[a : b + 1] = v_i
         r_0_applied[a : b + 1] = r_0
         if (v_i, r_0) not in cycles:
-            rungs = [_ladder(m, dt, spc) for m in _modes(p, v_i, r_0)]
-            cycles[v_i, r_0] = rungs, _cycle_table(rungs, on_steps, spc)
-        (on_rungs, off_rungs, idle_rungs), table = cycles[v_i, r_0]
-        off = a - a % spc + on_steps
-        if b - a == spc and x[0, a] >= 0.0:
-            np.matmul(table, x[:, a], out=x[:2, a + 1 : b + 1])
-            if not (x[0, off + 1 : b + 1] < 0.0).any():
-                continue
-            a = off  # the on phase stands; step the off phase again
+            table = _cycle_table([rungs(v_i, r_0, 0), rungs(v_i, r_0, 1)], on_steps, spc)
+            one_cycle = np.vstack([table[:, :, -1], (0.0, 0.0, 1.0)])
+            cycles[v_i, r_0] = table, _doublings(one_cycle, n // spc)
+        table, cycle_rungs = cycles[v_i, r_0]
         k = r_0 / (r_0 + p.r_c)
-        # what is left of the on phase, then of the off phase
-        for j, end, on in ((a, min(off, b), True), (max(a, off), b, False)):
-            while j < end:
-                i_l, v_c = x[0, j], x[1, j]
-                idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
-                seg = x[:, j : end + 1]
-                _advance(seg, idle_rungs if idle else on_rungs if on else off_rungs)
-                if idle:
-                    stop = k * seg[1, 1:] <= v_i - p.v_d
-                elif on and i_l >= 0.0:
-                    break  # the on mode only charges the inductor
-                else:
-                    stop = seg[0, 1:] < 0.0
-                m = int(stop.argmax())
-                if not stop[m]:
-                    break
-                j += m + 1
-                if not idle:
-                    x[0, j] = 0.0
-                    dcm = dcm or not on
+        j = a
+        while j < b:
+            whole = min(batch, (b - j) // spc) if j % spc == 0 and x[0, j] >= 0.0 else 0
+            if whole:
+                starts = np.repeat(x[:, j, None], whole, axis=1)
+                _advance(starts, cycle_rungs)
+                fill = x[:2, j + 1 : j + 1 + whole * spc].reshape(2, whole, spc)
+                np.matmul(starts.T, table, out=fill)
+                below = fill[0, :, on_steps:] < 0.0
+                first = int(below.any(axis=1).argmax())
+                if not below[first].any():
+                    j += whole * spc
+                    batch *= 2
+                    continue
+                j += first * spc + on_steps  # its on phase stands
+                if x[0, j] > 0.0:  # and its off mode up to the first substep below zero
+                    j += int(below[first].argmax()) + 1
+                    x[0, j], dcm = 0.0, True
+                batch = 1
+            off = j - j % spc + on_steps
+            cycle_end = min(off - on_steps + spc, b)
+            # what is left of this cycle's on phase, then of its off phase
+            for i, end, on in ((j, min(off, cycle_end), True), (max(j, off), cycle_end, False)):
+                while i < end:
+                    i_l, v_c = x[0, i], x[1, i]
+                    idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
+                    seg = x[:, i : end + 1]
+                    _advance(seg, rungs(v_i, r_0, 2 if idle else 0 if on else 1))
+                    if idle:
+                        stop = k * seg[1, 1:] <= v_i - p.v_d
+                    elif on and i_l >= 0.0:
+                        break  # the on mode only charges the inductor
+                    else:
+                        stop = seg[0, 1:] < 0.0
+                    m = int(stop.argmax())
+                    if not stop[m]:
+                        break
+                    i += m + 1
+                    if not idle:
+                        x[0, i] = 0.0
+                        dcm = dcm or not on
+            j = cycle_end
     i_l, v_c, v_out = x
     if not (np.all(np.isfinite(i_l)) and np.all(np.isfinite(v_c))):
         raise NonFiniteState("switched simulation diverged")

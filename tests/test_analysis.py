@@ -87,6 +87,13 @@ class TestCompareModels:
             assert late.row(model).v_max == pytest.approx(early.row(model).v_max, rel=1e-12)
             assert late.row(model).t_p == pytest.approx(early.row(model).t_p, rel=1e-9)
 
+    def test_late_cold_step_averages_from_rest(self, line_params):
+        # before the step v_i = 0 < (1 - D) v_d: the averaged diode blocks,
+        # so the averaged circuit rests instead of driving i_L negative
+        early, late = (analysis.compare_models(line_params, StepEvent(
+            StepKind.INPUT_VOLTAGE, 0.0, line_params.v_i, t_event)) for t_event in (0.0, 0.02))
+        assert late.row("avg+par").v_max == pytest.approx(early.row("avg+par").v_max, rel=1e-9)
+
     def test_closed_forms_are_sampled_on_the_fine_grid_only_as_the_reference(
             self, fast_params, monkeypatch):
         calls = []

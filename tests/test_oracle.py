@@ -228,12 +228,19 @@ class TestAveraged:
         n = len(wave) - 1
         x = oracle._state_grid(p, "zero", n)
         want = np.empty(n + 1)
-        for a, b, v_i, r_0 in oracle._segments(p, [step], dt, n, ()):
+        for a, b, v_i, r_0 in oracle._segments(p, [step], dt, n):
             mode = oracle._averaged_mode(p, v_i, r_0)
             seg = x[:, a : b + 1]
             _advance(seg, _ladder(mode, dt, b - a))
             want[a : b + 1] = mode.out @ seg[:2]
         assert np.array_equal(wave.samples, want)
+
+    def test_blocked_diode_rests(self, line_params):
+        # v_i = 0 < (1 - D) v_d: the averaged inductor voltage at i_L = 0 is
+        # negative, so only a diode clamp keeps the circuit at rest
+        p = replace(line_params, v_i=0.0)
+        wave = simulate_averaged(p, [], p.period / 200, 0.01)
+        assert np.all(wave.samples == 0.0)
 
     def test_parasitic_free_steady_is_the_ideal_ratio(self, fast_params):
         p = fast_params
@@ -252,6 +259,67 @@ class TestCycleTable:
         ref, dcm = substep_reference(p, 200, 10000, (trace.i_l[0], trace.v_c[0]))
         assert trace.flags == () and not dcm
         assert np.all(trace.i_l > 0.0)
+        assert_trace_is(trace, ref)
+
+    def test_long_ccm_run_is_the_substep_chain(self, load_params):
+        p = load_params
+        trace = simulate_switched(p, [], 200, 300 * p.period)
+        ref, dcm = substep_reference(p, 200, 60000, (0.0, 0.0))
+        assert trace.flags == () and not dcm
+        assert_trace_is(trace, ref)
+
+    def test_pure_ccm_run_is_filled_at_cycle_rate(self, load_params, monkeypatch):
+        # a per-cycle fill would advance at least once per cycle, and a
+        # CCM run never needs the idle ladder
+        p = load_params
+        advances, ladders = [], []
+
+        def counting_advance(x, rungs):
+            advances.append(x.shape)
+            _advance(x, rungs)
+
+        def counting_ladder(mode, h, steps):
+            ladders.append(mode)
+            return _ladder(mode, h, steps)
+
+        monkeypatch.setattr(oracle, "_advance", counting_advance)
+        monkeypatch.setattr(oracle, "_ladder", counting_ladder)
+        trace = simulate_switched(p, [], 200, 1200 * p.period, initial_state="steady")
+        assert trace.flags == () and np.all(trace.i_l > 0.0)
+        assert len(advances) <= math.log2(1200)
+        assert len(ladders) == 2
+
+    def test_clamp_mid_stretch_then_batches_again(self, load_params, monkeypatch):
+        # 10 -> 80 ohm: the off phases of cycles 31-34 dip below zero, eleven
+        # cycles into the post-step stretch, and the rest is CCM again
+        p = load_params
+        batches = []
+
+        def recording(x, rungs):
+            if x.ndim == 2 and x.base is None:  # the cycle starts of one batch
+                batches.append(x.shape[1])
+            _advance(x, rungs)
+
+        monkeypatch.setattr(oracle, "_advance", recording)
+        step = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 80.0, 20 * p.period)
+        trace = simulate_switched(p, [step], 200, 100 * p.period, initial_state="steady")
+        clamped = np.unique(np.flatnonzero((trace.i_l == 0.0) & ~trace.on_phase) // 200)
+        assert trace.flags == ("dcm",) and list(clamped) == [31, 32, 33, 34]
+        after = batches[batches.index(1):]
+        assert after[:6] == [1, 1, 1, 1, 2, 4]
+        ref, dcm = substep_reference(p, 200, 20000, (trace.i_l[0], trace.v_c[0]), [step])
+        assert dcm
+        assert_trace_is(trace, ref)
+
+    def test_persistent_dcm_run_is_the_substep_chain(self, load_params):
+        # at 1 kohm every off phase from the fourteenth cycle on runs dry
+        p = replace(load_params, r_0=1000.0)
+        trace = simulate_switched(p, [], 200, 60 * p.period)
+        assert trace.flags == ("dcm",)
+        dry = (trace.i_l == 0.0) & ~trace.on_phase
+        assert np.all(dry[:-1].reshape(60, 200).any(axis=1)[13:])
+        ref, dcm = substep_reference(p, 200, 12000, (0.0, 0.0))
+        assert dcm
         assert_trace_is(trace, ref)
 
     @pytest.mark.parametrize("periods", [30.37, 30.77])
