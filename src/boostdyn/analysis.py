@@ -437,19 +437,17 @@ class DescentPath:
         return np.array([s.v_max for s in self.steps])
 
 
-def _project(
-    p: ConverterParams, constraint: Optional[str], target_steady: float,
-    target_lc: float, r_l_budget: float,
-) -> ConverterParams:
+def _project(p: ConverterParams, constraint: Optional[str], targets: tuple) -> ConverterParams:
+    """``p`` moved onto ``constraint``; ``targets`` is (steady output, L C, r_l budget)."""
     if constraint is None:
         return p
     if constraint == "constant-omega0":
-        scale = math.sqrt(target_lc / (p.l * p.c))
+        scale = math.sqrt(targets[1] / (p.l * p.c))
         return replace(p, l=p.l * scale, c=p.c * scale)
     if constraint == "parasitic-loss-bound":
-        return replace(p, r_l=min(p.r_l, r_l_budget))
+        return replace(p, r_l=min(p.r_l, targets[2]))
     if constraint == "constant-steady-output":
-        return _resolve_duty(p, target_steady)
+        return _resolve_duty(p, targets[0])
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
@@ -498,51 +496,39 @@ def steepest_descent(
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, not {max_steps!r}")
 
-    target_steady = steady_output(p)
-    target_lc = p.l * p.c
-    budget = p.r_l if r_l_budget is None else r_l_budget
+    targets = (steady_output(p), p.l * p.c, p.r_l if r_l_budget is None else r_l_budget)
 
     def objective(q: ConverterParams) -> float:
         return _metric_for(q, model, "v_max")
 
-    current = _project(p, constraint, target_steady, target_lc, budget)
-    v_now = objective(current)
-    v_init = v_now
-    steps = [DescentStep(current, v_now)]
+    def moved(q: ConverterParams, logs) -> ConverterParams:
+        """``q`` with each value named in ``logs`` scaled by e^s, as one record."""
+        return replace(q, **{name: getattr(q, name) * math.exp(s) for name, s in logs})
 
+    start = _project(p, constraint, targets)
+    steps = [DescentStep(start, objective(start))]
     h = 1e-4
     for _ in range(max_steps):
-        grad = np.zeros(len(free))
-        for k, name in enumerate(free):
-            theta = getattr(current, name)
-            up = replace(current, **{name: theta * math.exp(h)})
-            dn = replace(current, **{name: theta * math.exp(-h)})
-            grad[k] = (objective(up) - objective(dn)) / (2.0 * h)
+        current, v_now = steps[-1].params, steps[-1].v_max
+        grad = np.array([objective(moved(current, [(name, h)]))
+                         - objective(moved(current, [(name, -h)])) for name in free]) / (2.0 * h)
         norm = float(np.linalg.norm(grad))
         if norm < 1e-6 * v_now:
             break
-        direction = -grad / norm
-
-        accepted = False
-        step_size = 0.05
-        for _ in range(40):
-            cand = current
+        # Python floats: numpy scalars would slow every replace below
+        direction = (-grad / norm).tolist()
+        for k in range(40):
+            step = 0.05 * 0.5**k
             try:
-                for k, name in enumerate(free):
-                    theta = getattr(cand, name)
-                    cand = replace(cand, **{name: theta * math.exp(step_size * direction[k])})
-                cand = _project(cand, constraint, target_steady, target_lc, budget)
+                cand = moved(current, [(name, step * g) for name, g in zip(free, direction)])
+                cand = _project(cand, constraint, targets)
                 v_cand = objective(cand)
             except (ValueError, ModelDomainError):
-                step_size *= 0.5
                 continue
-            if v_cand < v_now - 1e-9 * v_init:
-                current, v_now = cand, v_cand
-                steps.append(DescentStep(current, v_now))
-                accepted = True
+            if v_cand < v_now - 1e-9 * steps[0].v_max:
+                steps.append(DescentStep(cand, v_cand))
                 break
-            step_size *= 0.5
-        if not accepted:
+        else:
             break
     return DescentPath(steps=tuple(steps), constraint=constraint)
 

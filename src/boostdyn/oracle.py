@@ -77,31 +77,26 @@ def _averaged_mode(p: ConverterParams, v_i: float, r_0: float) -> _Mode:
     return _Mode(*(p.d * x_on + (1.0 - p.d) * x_off for x_on, x_off in zip(on, off)))
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a Taylor series."""
-    squarings = max(0, math.frexp(float(np.abs(m).sum(axis=1).max()))[1] + 1)
-    a = m / 2.0**squarings
-    term = out = np.eye(len(m))
-    for k in range(1, 19):
-        term = term @ a / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def _ladder(mode: _Mode, h: float, steps: int) -> list[np.ndarray]:
     """Exact maps of one mode over 1, 2, 4, ... substeps of length h, up to
     ``steps`` substeps.
 
     One substep is the augmented exponential exp([[A, u], [0, 0]] h) =
     [[phi, gamma], [0, 1]] (Van Loan), so a singular A, as in a lossless
-    on mode or the idle mode, needs no special case.  A rung keeps the rows
-    [phi, gamma], which act on the column (x, 1).
+    on mode or the idle mode, needs no special case.  It is a Taylor series
+    of the matrix scaled by 2^-s, squared s times: the first s doublings,
+    whose rungs are dropped.  A rung keeps the rows [phi, gamma], which act
+    on the column (x, 1).
     """
     aug = np.zeros((3, 3))
     aug[:2] = np.column_stack([mode.a, mode.u]) * h
-    return _doublings(_expm(aug), steps)
+    s = max(0, math.frexp(float(np.abs(aug).sum(axis=1).max()))[1] + 1)
+    a = aug / 2.0**s
+    term = e = np.eye(3)
+    for k in range(1, 19):
+        term = term @ a / k
+        e = e + term
+    return _doublings(e, max(steps, 1) << s)[s:]
 
 
 def _doublings(e: np.ndarray, steps: int) -> list[np.ndarray]:
@@ -175,10 +170,12 @@ def integrate_second_order(m2: float, m1: float, m0: float, forcing: float,
 def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
     """(i_L, v_C, 1) columns for samples 0..n with the first one set by
     ``initial_state``: "zero" is rest, "steady" the fixed point of the
-    averaged modes."""
+    averaged modes, or rest where the diode blocks at i_L = 0."""
     x = np.ones((3, n + 1))
     if initial_state == "zero":
         x[:2, 0] = 0.0
+    elif initial_state == "steady" and p.v_i <= (1.0 - p.d) * p.v_d:
+        x[:2, 0] = 0.0  # the diode blocks: the averaged circuit rests, as simulate_averaged does
     elif initial_state == "steady":
         # a x = -u by Cramer's rule, which leaves LAPACK unloaded
         mode = _averaged_mode(p, p.v_i, p.r_0)
@@ -258,7 +255,6 @@ class SwitchedTrace:
     i_l: np.ndarray
     v_c: np.ndarray
     v_out: np.ndarray
-    i_c: np.ndarray
     on_phase: np.ndarray
     v_i_applied: np.ndarray
     r_0_applied: np.ndarray
@@ -374,16 +370,11 @@ def simulate_switched(
     # the diode current i_L reaches the output node only in the off phase;
     # v_out takes over the ones row of the state grid
     on_phase = np.resize(np.arange(spc) < on_steps, n + 1)
-    i_c = np.where(on_phase, 0.0, i_l)
-    np.multiply(i_c, p.r_c, out=v_out)
+    np.multiply(np.where(on_phase, 0.0, i_l), p.r_c, out=v_out)
     v_out += v_c
     v_out *= r_0_applied
-    i_c *= r_0_applied
-    i_c -= v_c
-    r_sum = r_0_applied + p.r_c
-    v_out /= r_sum
-    i_c /= r_sum
-    return SwitchedTrace(dt, spc, i_l, v_c, v_out, i_c, on_phase, v_i_applied, r_0_applied,
+    v_out /= r_0_applied + p.r_c
+    return SwitchedTrace(dt, spc, i_l, v_c, v_out, on_phase, v_i_applied, r_0_applied,
                          flags=("dcm",) if dcm else ())
 
 
@@ -420,6 +411,9 @@ def energy_audit(
     p: ConverterParams, trace: SwitchedTrace, t0: float, t1: float
 ) -> EnergyBreakdown:
     """Trapezoidal energy bookkeeping of a switched trace over [t0, t1]."""
+    for name, t in (("t0", t0), ("t1", t1)):
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, not {t!r}")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     n = trace.v_out.size - 1
@@ -435,7 +429,8 @@ def energy_audit(
     i_l = trace.i_l[sl]
     v_c = trace.v_c[sl]
     v_o = trace.v_out[sl]
-    i_c = trace.i_c[sl]
+    r_0 = trace.r_0_applied[sl]
+    i_c = (np.where(trace.on_phase[sl], 0.0, i_l) * r_0 - v_c) / (r_0 + p.r_c)
     on = trace.on_phase[sl].astype(float)
     off = 1.0 - on
 
@@ -443,7 +438,7 @@ def energy_audit(
     return EnergyBreakdown(
         e_l=_trapezoid(trace.v_i_applied[sl] * i_l, t) - float(stored_l),
         e_c=float(0.5 * p.c * (v_c[-1] ** 2 - v_c[0] ** 2)),
-        e_r=_trapezoid(v_o**2 / trace.r_0_applied[sl], t),
+        e_r=_trapezoid(v_o**2 / r_0, t),
         e_vd=_trapezoid(off * i_l * p.v_d, t),
         e_rm=_trapezoid(on * i_l**2 * p.r_m, t),
         e_rl=_trapezoid(i_l**2 * p.r_l, t),

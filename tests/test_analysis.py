@@ -7,7 +7,7 @@ import pytest
 
 from boostdyn import (ConverterParams, StepEvent, StepKind, Waveform, analysis,
                       simulate_switched, tfm_line, tfm_load)
-from boostdyn.circuit import ModelDomainError, ParameterError
+from boostdyn.circuit import DischargedSourceWarning, ModelDomainError, ParameterError
 from boostdyn.steady import steady_output
 
 #: heavily damped by its 10-ohm load: xi ~ 3, so every closed form is overdamped
@@ -93,6 +93,18 @@ class TestCompareModels:
         early, late = (analysis.compare_models(line_params, StepEvent(
             StepKind.INPUT_VOLTAGE, 0.0, line_params.v_i, t_event)) for t_event in (0.0, 0.02))
         assert late.row("avg+par").v_max == pytest.approx(early.row("avg+par").v_max, rel=1e-9)
+
+    def test_warm_step_from_below_the_diode_threshold_starts_at_rest(self, line_params):
+        # 0.2 V < (1 - D) v_d = 0.255 V: the diode blocks, so the oracles with
+        # its drop start at rest, as on a cold step; avg-par has no drop and
+        # starts steady at the pre-step input, as FR does
+        cold, warm = (StepEvent(StepKind.INPUT_VOLTAGE, v, line_params.v_i) for v in (0.0, 0.2))
+        want = analysis.compare_models(line_params, cold)
+        with pytest.warns(DischargedSourceWarning):
+            table = analysis.compare_models(line_params, warm)
+        for model in ("avg+par", "switched"):
+            assert table.row(model) == want.row(model)
+        assert table.row("avg-par").v_max == pytest.approx(table.row("fr").v_max, rel=1e-9)
 
     def test_closed_forms_are_sampled_on_the_fine_grid_only_as_the_reference(
             self, fast_params, monkeypatch):
@@ -350,6 +362,53 @@ class TestTfmSweepParity:
             assert not refused.all()
 
 
+#: every step's v_max of descents at max_steps=8, to 1e-12 relative; a
+#: constraint missing from an entry gives the unconstrained peaks (scaling l
+#: and c together, as constant-omega0 does, only rescales time)
+DESCENT_PATHS = {
+    ("line_params", ("l", "c")): {
+        None: [
+            6.399969114856, 6.338758511552, 6.277336998539, 6.215892859282, 6.154627109323,
+            6.093755218111, 6.03350920789, 5.974140210376, 5.915921575246
+        ],
+    },
+    ("line_params", ("c", "r_l", "d")): {
+        None: [
+            6.399969114856, 6.195141402205, 6.006111877629, 5.831029510741, 5.668281000384,
+            5.516455771807, 5.37431699735, 5.240777593325, 5.114880349358
+        ],
+        "constant-steady-output": [
+            6.399969114856, 6.365753965231, 6.331183966736, 6.296298614449, 6.261142721063,
+            6.225766747897, 6.190227112183, 6.154586458084, 6.118913876304
+        ],
+        "parasitic-loss-bound": [
+            6.399969114856, 6.22408071453, 6.06277696529, 5.914462764984, 5.777758733489,
+            5.651464267017, 5.534528681091, 5.426028159522, 5.325147036612
+        ],
+    },
+    ("load_params", ("l", "c")): {
+        None: [
+            5.593417928649, 5.590958844919, 5.586523377185, 5.58015078278, 5.57189775099,
+            5.561838658198, 5.550065912791, 5.53669040259, 5.5218420606
+        ],
+    },
+    ("load_params", ("c", "r_l", "d")): {
+        None: [
+            5.593417928649, 5.491831968451, 5.388803015918, 5.284176425296, 5.177775176444,
+            5.069392371717, 4.958779561731, 4.845629202926, 4.729548807595
+        ],
+        "constant-steady-output": [
+            5.593417928649, 5.530929057918, 5.501829420156, 5.483420735271, 5.482256169776,
+            5.481355621852, 5.480507861806, 5.480271184603, 5.480175763124
+        ],
+        "parasitic-loss-bound": [
+            5.593417928649, 5.593398340019, 5.593376247106, 5.593351070851, 5.593322091113,
+            5.593288413321, 5.593248927737, 5.593202259873, 5.593146710454
+        ],
+    },
+}
+
+
 class TestSteepestDescent:
     @pytest.mark.parametrize("constraint", analysis.CONSTRAINTS)
     @pytest.mark.parametrize("free", [("l", "c"), ("c", "r_l", "d")])
@@ -361,6 +420,16 @@ class TestSteepestDescent:
             target = steady_output(line_params)
             for step in path.steps:
                 assert steady_output(step.params) == pytest.approx(target, rel=1e-12)
+
+    @pytest.mark.parametrize("constraint", analysis.CONSTRAINTS)
+    @pytest.mark.parametrize("design, free", DESCENT_PATHS)
+    def test_path_is_pinned(self, request, design, free, constraint):
+        pins = DESCENT_PATHS[design, free]
+        want = pins.get(constraint, pins[None])
+        path = analysis.steepest_descent(request.getfixturevalue(design), free,
+                                         constraint=constraint, max_steps=8)
+        assert len(path.steps) == len(want)
+        assert path.v_max_series == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_refused_probe_raises(self, line_params):
         # d e^h leaves (0, 1), so the first gradient probe is no record

@@ -242,6 +242,13 @@ class TestAveraged:
         wave = simulate_averaged(p, [], p.period / 200, 0.01)
         assert np.all(wave.samples == 0.0)
 
+    def test_steady_start_below_the_diode_threshold_rests(self, line_params):
+        # 0.2 V < (1 - D) v_d = 0.255 V: the averaged fixed point has i_L < 0
+        # and v_C < 0, which the diode does not allow
+        p = replace(line_params, v_i=0.2)
+        wave = simulate_averaged(p, [], p.period / 200, 20 * p.period, initial_state="steady")
+        assert np.all(wave.samples == 0.0)
+
     def test_parasitic_free_steady_is_the_ideal_ratio(self, fast_params):
         p = fast_params
         wave = simulate_averaged(p, [], p.period / 200, p.period, False, initial_state="steady")
@@ -388,6 +395,15 @@ class TestSwitched:
         assert audit.e_vd == audit.e_rm == audit.e_rl == audit.e_rc == 0.0
         assert abs(audit.residual) <= 1e-5 * audit.e_l
 
+    def test_steady_start_below_the_diode_threshold_rests(self, line_params):
+        # 0.2 V < (1 - D) v_d = 0.255 V: the run starts at rest, not at the
+        # averaged fixed point (i_L, v_C) = (-0.0021 A, -0.0985 V)
+        p = replace(line_params, v_i=0.2)
+        steady = simulate_switched(p, [], 200, 20 * p.period, initial_state="steady")
+        rest = simulate_switched(p, [], 200, 20 * p.period)
+        assert steady.i_l[0] == steady.v_c[0] == 0.0
+        assert np.array_equal(steady.i_l, rest.i_l) and np.array_equal(steady.v_c, rest.v_c)
+
     def test_trace_records_phases_and_applied_values(self, fast_params):
         p = fast_params
         step = StepEvent(StepKind.INPUT_VOLTAGE, p.v_i, 2 * p.v_i, 30 * p.period)
@@ -426,6 +442,11 @@ class TestEnergyAudit:
         with pytest.raises(ValueError):
             energy_audit(p, trace, 2 * p.period, p.period)
         assert energy_audit(p, trace, p.period, p.period).residual == 0.0
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t0 must be finite"):
+                energy_audit(p, trace, bad, p.period)
+            with pytest.raises(ValueError, match="t1 must be finite"):
+                energy_audit(p, trace, 0.0, bad)
 
 
 class TestInputChecks:
