@@ -93,9 +93,7 @@ def extract_metrics(w: Waveform, t_event: float) -> ResponseMetrics:
             shift = 0.5 * (y0 - y2) / denom
             v_max = y1 - 0.25 * (y0 - y2) * shift
             t_max += shift * w.dt
-    t_p = max(0.0, t_max - t_event)
-    overshoot = 100.0 * (v_max - mean) / mean
-    return ResponseMetrics(mean, v_max, t_p, overshoot)
+    return ResponseMetrics(mean, v_max, max(0.0, t_max - t_event))
 
 
 # --- model comparison ------------------------------------------------------
@@ -148,13 +146,15 @@ class ClosedForm(NamedTuple):
 
 
 def _second_order_tf(tf: tfm_line.SecondOrderTF, base: float, k: float) -> ClosedForm:
-    """Line step of height ``k`` through ``tf`` from the level ``base``."""
+    """Line step of height ``k`` through ``tf`` from the level ``base``; a
+    step of height 0 leaves the output flat, with no peak."""
     v_steady, v_max, t_p = map(float, tfm_line.line_step_metrics(tf, base, k))
-    if math.isnan(t_p):
-        m = ResponseMetrics(v_steady, v_steady, None, 0.0, flags=("overdamped",))
+    if k == 0:
+        m = ResponseMetrics(base, base, None, flags=("no-peak",))
+    elif math.isnan(t_p):
+        m = ResponseMetrics(v_steady, v_steady, None, flags=("overdamped",))
     else:
-        over = 100.0 * (v_max - v_steady) / v_steady if v_steady else 0.0
-        m = ResponseMetrics(v_steady, v_max, t_p, over)
+        m = ResponseMetrics(v_steady, v_max, t_p)
     return ClosedForm(m, base, lambda t: base + tfm_line.line_step_response(tf, k, t))
 
 
@@ -186,7 +186,7 @@ def closed_form(p: ConverterParams, event: StepEvent, model: str) -> ClosedForm:
         return _second_order_tf(tf, base, event.delta)
     if model == "fr":
         level = p.v_i / (1.0 - p.d)
-        flat = ResponseMetrics(level, level, None, 0.0, flags=("no-transient",))
+        flat = ResponseMetrics(level, level, None, flags=("no-transient",))
         return ClosedForm(flat, level, lambda t: np.full_like(t, level))
     pre = replace(p, r_0=event.value_before)
     base = steady_output(pre)
@@ -257,6 +257,8 @@ def compare_models(
     against the embedded measured scalars (no waveform, so no rmse in that
     mode).
     """
+    if reference not in MODEL_ROWS + ("aer",):
+        raise ValueError(f"reference must be one of {MODEL_ROWS + ('aer',)}, not {reference!r}")
     if t_end is None:
         t_end = default_comparison_t_end(p, event)
     dt = p.period / steps_per_cycle

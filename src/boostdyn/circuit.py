@@ -167,15 +167,21 @@ class ResponseMetrics:
     """Steady value, transient extremum, and peak timing of one response.
 
     ``t_p`` is measured from the disturbance to the first extremum and is
-    ``None`` for monotone (peak-free) responses.  ``overshoot_pct`` is
-    negative for undershoots.
+    ``None`` for monotone (peak-free) responses.
     """
 
     v_steady: float
     v_max: float
     t_p: Optional[float]
-    overshoot_pct: float
     flags: tuple[str, ...] = field(default=())
+
+    @property
+    def overshoot_pct(self) -> float:
+        """Percent by which v_max exceeds v_steady, negative for undershoots:
+        0.0, never -0.0, when flat or when v_steady is 0."""
+        if self.v_steady == 0:
+            return 0.0
+        return 100.0 * (self.v_max - self.v_steady) / self.v_steady + 0.0
 
 
 def _first_crossing(

@@ -205,7 +205,8 @@ def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
     if args.waveform:  # first, so that a failure leaves stdout empty
         _, dt, t_end = _sampling(cfg, p, event)
         write_waveform_csv(args.waveform, solved.waveform(event.t_event, dt, t_end))
-    payload = {"model": args.model, **asdict(solved.metrics)}
+    metrics = solved.metrics
+    payload = {"model": args.model, **asdict(metrics), "overshoot_pct": metrics.overshoot_pct}
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 

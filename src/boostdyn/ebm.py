@@ -9,12 +9,15 @@ damped-oscillator form gives the closed-form step response evaluated here.
 That form, ``SecondOrderForm``, is the one two-pole step response of the
 package: the line TFM and the FR baseline build it from their transfer
 functions (``tfm_line.step_form``) and evaluate it with ``ebm_response``.
+The response and its slope are each one expression in cosh(delta t) and
+sinh(delta t)/delta, delta^2 = (xi^2 - 1) w0^2, which ``_damped_pair``
+alone turns into the real functions of each damping regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -41,17 +44,23 @@ class OdeCoefficients:
 
 @dataclass(frozen=True)
 class SecondOrderForm:
-    """Damped-oscillator parameters plus initial conditions.
+    """The response of  v'' + 2 xi w0 v' + w0^2 v = w0^2 v_inf  from
+    v(0) = v0, v'(0) = dv0.
 
-    omega_d is stored as 0 for non-oscillatory (xi >= 1) systems.
+    ``omega_d`` = w0 sqrt(1 - xi^2), the ringing frequency, is derived
+    once from xi and w0, and is 0 where the form does not ring.
     """
 
     xi: float
     omega0: float
-    omega_d: float
     v_inf: float
     v0: float
     dv0: float
+    omega_d: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        wd = self.omega0 * math.sqrt(1.0 - self.xi * self.xi) if self.xi < 1.0 else 0.0
+        object.__setattr__(self, "omega_d", wd)
 
     @property
     def overdamped(self) -> bool:
@@ -77,77 +86,56 @@ def to_standard_form(coeffs: OdeCoefficients, v0: float, dv0: float) -> SecondOr
         raise ValueError("m2 and m0 must be positive")
     omega0 = math.sqrt(coeffs.m0 / coeffs.m2)
     xi = coeffs.m1 / (2.0 * coeffs.m2 * omega0)
-    omega_d = omega0 * math.sqrt(1.0 - xi * xi) if xi < 1.0 else 0.0
-    return SecondOrderForm(
-        xi=xi,
-        omega0=omega0,
-        omega_d=omega_d,
-        v_inf=coeffs.forcing / coeffs.m0,
-        v0=v0,
-        dv0=dv0,
-    )
+    return SecondOrderForm(xi=xi, omega0=omega0, v_inf=coeffs.forcing / coeffs.m0, v0=v0, dv0=dv0)
+
+
+def _damped_pair(form: SecondOrderForm, t: np.ndarray):
+    """(E, C, S) with E C = e^{-sigma t} cosh(delta t) and E S =
+    e^{-sigma t} sinh(delta t)/delta, sigma = xi w0, delta^2 = (xi^2 - 1) w0^2.
+
+    Underdamped (delta = i wd), E = e^{-sigma t}, C = cos(wd t) and
+    S = sin(wd t)/wd; at exactly xi = 1, C = 1 and S = t.  Overdamped, E
+    decays at the slow pole delta - sigma = -w0^2/(sigma + delta), and C, S
+    carry e^{-delta t}: with expm1 they neither overflow nor cancel.
+    """
+    sigma = form.xi * form.omega0
+    if form.xi < 1.0:
+        wd = form.omega_d
+        return np.exp(-sigma * t), np.cos(wd * t), np.sin(wd * t) / wd
+    if form.xi == 1.0:
+        return np.exp(-sigma * t), 1.0, t
+    delta = form.omega0 * math.sqrt((form.xi - 1.0) * (form.xi + 1.0))
+    rise = -np.expm1(-2.0 * delta * t)  # 1 - e^{-2 delta t}
+    return (np.exp(-form.omega0 ** 2 / (sigma + delta) * t), 1.0 - 0.5 * rise,
+            rise / (2.0 * delta))
 
 
 def ebm_response(form: SecondOrderForm, t):
-    """Output voltage at time(s) ``t`` for the given standard form.
+    """Output voltage at time(s) ``t``:
 
-    Underdamped branch:
+        v(t) = v_inf + e^{-sigma t} [ (v0 - v_inf) C + (dv0 + sigma (v0 - v_inf)) S ]
 
-        v(t) = V_inf + e^{-xi w0 t} [ (v0-V_inf) cos(wd t)
-                                      + (dv0 + xi w0 (v0-V_inf))/wd * sin(wd t) ]
-
-    so that v(0) = v0 and v'(0) = dv0 exactly.  The critically damped and
-    overdamped branches use the matching real-exponential solutions.
+    with sigma = xi w0, C = cosh(delta t) and S = sinh(delta t)/delta, whose
+    damped products ``_damped_pair`` gives, so that v(0) = v0 and
+    v'(0) = dv0 exactly in every damping regime.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise NonFiniteTime("response requested at non-finite time")
-    xi, w0, vinf = form.xi, form.omega0, form.v_inf
-    dv = form.v0 - vinf
-    if xi < 1.0:
-        wd = form.omega_d
-        env = np.exp(-xi * w0 * t_arr)
-        out = vinf + env * (
-            dv * np.cos(wd * t_arr)
-            + (form.dv0 + xi * w0 * dv) / wd * np.sin(wd * t_arr)
-        )
-    elif xi == 1.0:
-        out = vinf + np.exp(-w0 * t_arr) * (dv + (form.dv0 + w0 * dv) * t_arr)
-    else:
-        r1, r2 = _real_roots(form)
-        a = (form.dv0 - r2 * dv) / (r1 - r2)
-        b = dv - a
-        out = vinf + a * np.exp(r1 * t_arr) + b * np.exp(r2 * t_arr)
+    dv = form.v0 - form.v_inf
+    env, c, s = _damped_pair(form, t_arr)
+    out = form.v_inf + env * (dv * c + (form.dv0 + form.xi * form.omega0 * dv) * s)
     return float(out) if np.isscalar(t) else out
 
 
 def response_slope(form: SecondOrderForm, t):
-    """Analytic dv/dt of :func:`ebm_response`."""
+    """Analytic dv/dt of :func:`ebm_response`:
+    e^{-sigma t} [ dv0 C - (w0^2 (v0 - v_inf) + sigma dv0) S ]."""
     t_arr = np.asarray(t, dtype=float)
-    xi, w0, vinf = form.xi, form.omega0, form.v_inf
-    dv = form.v0 - vinf
-    if xi < 1.0:
-        wd = form.omega_d
-        q = (form.dv0 + xi * w0 * dv) / wd
-        env = np.exp(-xi * w0 * t_arr)
-        out = env * (
-            form.dv0 * np.cos(wd * t_arr)
-            - (wd * dv + xi * w0 * q) * np.sin(wd * t_arr)
-        )
-    elif xi == 1.0:
-        s = form.dv0 + w0 * dv
-        out = np.exp(-w0 * t_arr) * (s - w0 * (dv + s * t_arr))
-    else:
-        r1, r2 = _real_roots(form)
-        a = (form.dv0 - r2 * dv) / (r1 - r2)
-        b = dv - a
-        out = a * r1 * np.exp(r1 * t_arr) + b * r2 * np.exp(r2 * t_arr)
+    w0 = form.omega0
+    env, c, s = _damped_pair(form, t_arr)
+    out = env * (form.dv0 * c - (w0 * w0 * (form.v0 - form.v_inf) + form.xi * w0 * form.dv0) * s)
     return float(out) if np.isscalar(t) else out
-
-
-def _real_roots(form: SecondOrderForm) -> tuple[float, float]:
-    root = form.omega0 * math.sqrt(form.xi * form.xi - 1.0)
-    return -form.xi * form.omega0 + root, -form.xi * form.omega0 - root
 
 
 def initial_slope_for_load_step(v0: float, c: float, r1: float, r2: float) -> float:
@@ -190,7 +178,7 @@ def ebm_metrics(form: SecondOrderForm) -> ResponseMetrics:
     vinf = form.v_inf
     scale = max(abs(vinf), abs(form.v0), 1e-30)
     if abs(form.v0 - vinf) < 1e-12 * scale and abs(form.dv0) < 1e-12 * scale * form.omega0:
-        return ResponseMetrics(vinf, vinf, None, 0.0, flags=("no-peak",))
+        return ResponseMetrics(vinf, vinf, None, flags=("no-peak",))
 
     if form.xi < 1.0:
         t_hi = 2.0 * math.pi / form.omega_d
@@ -201,7 +189,5 @@ def ebm_metrics(form: SecondOrderForm) -> ResponseMetrics:
     t_p = _first_crossing(partial(response_slope, form), np.linspace(0.0, t_hi, 257),
                           tol, rising=True)
     if t_p is None:
-        return ResponseMetrics(vinf, vinf, None, 0.0, flags=flags + ("no-peak",))
-    v_max = float(ebm_response(form, t_p))
-    overshoot = 100.0 * (v_max - vinf) / vinf if vinf != 0 else 0.0
-    return ResponseMetrics(vinf, v_max, t_p, overshoot, flags=flags)
+        return ResponseMetrics(vinf, vinf, None, flags=flags + ("no-peak",))
+    return ResponseMetrics(vinf, float(ebm_response(form, t_p)), t_p, flags=flags)

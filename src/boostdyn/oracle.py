@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -291,8 +292,8 @@ def simulate_switched(
     and flags the trace "dcm", and the idle mode runs until the output falls
     to v_i - v_d.  After a clamp the batch restarts at one cycle and doubles.
     """
-    if steps_per_cycle < 50:
-        raise ValueError("steps_per_cycle must be >= 50")
+    if not isinstance(steps_per_cycle, numbers.Integral) or steps_per_cycle < 50:
+        raise ValueError(f"steps_per_cycle must be an integer >= 50, not {steps_per_cycle!r}")
     period = p.period
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, not {t_end!r}")

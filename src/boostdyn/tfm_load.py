@@ -240,7 +240,7 @@ def mode_sum_metrics(base: float, mode_sum: ExpModeSum) -> ResponseMetrics:
     first non-zero sampled sign, bracketed on the scan below and bisected.
     """
     if not mode_sum.modes:
-        return ResponseMetrics(base, base, None, 0.0, flags=("no-peak",))
+        return ResponseMetrics(base, base, None, flags=("no-peak",))
     v_steady = base + mode_sum.offset
     flags: tuple[str, ...] = () if mode_sum.stable else ("unstable-roots",)
 
@@ -254,7 +254,5 @@ def mode_sum_metrics(base: float, mode_sum: ExpModeSum) -> ResponseMetrics:
     t_p = _first_crossing(mode_sum.deviation_slope, np.linspace(0.0, t_hi, n_scan + 1),
                           tol, rising=None)
     if t_p is None:
-        return ResponseMetrics(v_steady, v_steady, None, 0.0, flags=flags + ("no-peak",))
-    v_ext = base + float(mode_sum.deviation(t_p))
-    overshoot = 100.0 * (v_ext - v_steady) / v_steady if v_steady != 0 else 0.0
-    return ResponseMetrics(v_steady, v_ext, t_p, overshoot, flags=flags)
+        return ResponseMetrics(v_steady, v_steady, None, flags=flags + ("no-peak",))
+    return ResponseMetrics(v_steady, base + float(mode_sum.deviation(t_p)), t_p, flags=flags)

@@ -30,6 +30,24 @@ class TestCompareModels:
         assert ref.steady_error_pct == 0.0 and ref.dynamic_error_pct == 0.0
         assert all(r.rmse_v is not None for r in table.rows if r.model != "switched")
 
+    def test_unknown_reference_is_refused_before_any_simulation(self, fast_params,
+                                                                 monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an oracle ran")
+
+        monkeypatch.setattr(analysis, "simulate_switched", fail)
+        monkeypatch.setattr(analysis, "simulate_averaged", fail)
+        with pytest.raises(ValueError) as err:
+            analysis.compare_models(fast_params, cold_start(fast_params), reference="bogus")
+        assert "'bogus'" in str(err.value)
+        assert str(analysis.MODEL_ROWS + ("aer",)) in str(err.value)
+
+    def test_non_integer_steps_per_cycle_is_refused(self, fast_params):
+        for steps in (200.5, 200.0):
+            with pytest.raises(ValueError, match="steps_per_cycle"):
+                analysis.compare_models(fast_params, cold_start(fast_params),
+                                        steps_per_cycle=steps)
+
     def test_measured_reference_has_no_rmse(self, fast_params):
         table = analysis.compare_models(fast_params, cold_start(fast_params), reference="aer")
         assert tuple(r.model for r in table.rows) == analysis.MODEL_ROWS
@@ -227,6 +245,20 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             analysis.closed_form(line_params, cold_start(line_params), "avg+par")
 
+    @pytest.mark.parametrize("model", ["ebm", "tfm", "fr"])
+    @pytest.mark.parametrize("kind, value", [(StepKind.INPUT_VOLTAGE, 3.3),
+                                             (StepKind.LOAD_RESISTANCE, 92.0)])
+    def test_zero_height_step_is_flat(self, line_params, model, kind, value):
+        solved = analysis.closed_form(line_params, StepEvent(kind, value, value), model)
+        m = solved.metrics
+        assert m.t_p is None
+        assert m.v_max == m.v_steady
+        flat = model == "fr" and kind is StepKind.LOAD_RESISTANCE
+        assert m.flags == (("no-transient",) if flat else ("no-peak",))
+        assert m.overshoot_pct == 0.0
+        t = np.linspace(0.0, 5e-3, 11)
+        assert np.allclose(solved.after(t), solved.before, rtol=1e-12, atol=0.0)
+
 
 class TestSweep:
     AXIS_L = analysis.SweepAxis("l", 0.5e-3, 2e-3, 4, log=True)
@@ -278,7 +310,6 @@ class TestSweep:
             analysis.sweep(line_params, self.AXIS_L, axis_c, metric="vmax")
 
     def test_cells_run_on_the_calling_thread(self, line_params, monkeypatch):
-        monkeypatch.setenv("BOOSTDYN_THREADS", "4")
         threads = set()
         metrics = analysis.closed_form_metrics
 

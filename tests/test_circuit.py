@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from boostdyn.circuit import (
     ConverterParams,
     ParameterError,
+    ResponseMetrics,
     StepEvent,
     StepKind,
     Waveform,
@@ -154,3 +156,15 @@ class TestFirstCrossing:
         assert _first_crossing(np.exp, self.TS, 1e-12, rising=True) is None
         assert _first_crossing(np.exp, self.TS, 1e-12, rising=False) is None
         assert _first_crossing(np.zeros_like, self.TS, 1e-12, rising=None) is None
+
+
+class TestResponseMetrics:
+    def test_overshoot_is_derived_from_the_steady_value_and_the_peak(self):
+        assert "overshoot_pct" not in {f.name for f in dataclasses.fields(ResponseMetrics)}
+        assert ResponseMetrics(8.0, 10.0, 1e-3).overshoot_pct == pytest.approx(25.0, rel=1e-15)
+        assert ResponseMetrics(8.0, 6.0, 1e-3).overshoot_pct == pytest.approx(-25.0, rel=1e-15)
+
+    @pytest.mark.parametrize("v_steady, v_max", [(-2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
+    def test_flat_or_zero_steady_value_overshoots_by_positive_zero(self, v_steady, v_max):
+        overshoot = ResponseMetrics(v_steady, v_max, None).overshoot_pct
+        assert overshoot == 0.0 and math.copysign(1.0, overshoot) == 1.0

@@ -119,6 +119,16 @@ class TestPredict:
         assert out.read_text() == printed
         assert json.loads(printed)["model"] == "tfm"
 
+    def test_json_carries_every_metric(self, line_params, tmp_path, capsys):
+        event = {"kind": "input_voltage", "value_before": 0.0, "value_after": line_params.v_i}
+        config = write_config(tmp_path, line_params, event=event)
+        assert cli.main(["predict", "--config", config]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        m = analysis.closed_form_metrics(line_params, StepEvent(StepKind.INPUT_VOLTAGE, 0.0,
+                                                                line_params.v_i), "tfm")
+        assert printed == {"model": "tfm", "v_steady": m.v_steady, "v_max": m.v_max, "t_p": m.t_p,
+                           "overshoot_pct": m.overshoot_pct, "flags": list(m.flags)}
+
 
     @pytest.mark.parametrize("t_end, waveform, error, code", [
         (-1.0, "wave.csv", "ValueError", 2),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from boostdyn.circuit import ConverterParams
 from boostdyn.ebm import (
+    OdeCoefficients,
     ebm_metrics,
     ebm_response,
     initial_slope_for_load_step,
@@ -154,6 +155,47 @@ class TestResponse:
         # 21 e^-20 = 4.3e-8, inside rel=1e-6, while x = 16 gives 1.9e-6
         v_end = ebm_response(form, 20.0 / rate)
         assert v_end == pytest.approx(steady_output(p), rel=1e-6)
+
+
+NEAR_CRITICAL = [0.0] + [sign * eps for eps in (1e-6, 1e-9, 1e-12, 1e-14) for sign in (1, -1)]
+
+
+def damped_coefficients(line_params, xi: float):
+    """The line bench's ODE with its damping set to ``xi``."""
+    co = ode_coefficients(line_params)
+    return dataclasses.replace(co, m1=2.0 * xi * co.m2 * math.sqrt(co.m0 / co.m2))
+
+
+class TestNearCritical:
+    """Forms within rounding of critical damping keep every digit."""
+
+    @pytest.mark.parametrize("eps", NEAR_CRITICAL)
+    @pytest.mark.parametrize("v0, dv0", [(0.0, 0.0), (2.0, 3e4)], ids=["rest", "moving"])
+    def test_response_matches_integration(self, line_params, eps, v0, dv0):
+        co = damped_coefficients(line_params, 1.0 + eps)
+        form = to_standard_form(co, v0, dv0)
+        assert (form.xi > 1.0, form.xi < 1.0) == (eps > 0.0, eps < 0.0)
+        dt = 1.0 / (200.0 * form.omega0)
+        wave = integrate_second_order(co.m2, co.m1, co.m0, co.forcing, v0, dv0, dt,
+                                      30.0 / form.omega0)
+        error = np.max(np.abs(wave.samples - ebm_response(form, wave.times)))
+        assert error < 1e-12 * abs(form.v_inf)
+
+    @pytest.mark.parametrize("eps", [1e-14, -1e-14])
+    @pytest.mark.parametrize("v0, dv0", [(0.0, 0.0), (2.0, 3e4)], ids=["rest", "moving"])
+    def test_slope_matches_the_critical_slope(self, line_params, eps, v0, dv0):
+        form = to_standard_form(damped_coefficients(line_params, 1.0 + eps), v0, dv0)
+        critical = dataclasses.replace(form, xi=1.0)
+        t = np.linspace(0.0, 30.0 / form.omega0, 3001)
+        exact = response_slope(critical, t)
+        assert np.max(np.abs(response_slope(form, t) - exact)) < 1e-12 * np.max(np.abs(exact))
+
+    def test_strongly_overdamped_form_stays_finite(self):
+        co = OdeCoefficients(m2=1.0, m1=2.0 * 50.0 * 100.0, m0=1e4, forcing=5e4)
+        form = to_standard_form(co, 7.0, -300.0)
+        t = np.array([0.0, 1.0, 30.0, 1e4])
+        assert np.all(np.isfinite(response_slope(form, t)))
+        assert ebm_response(form, t)[-1] == form.v_inf == 5.0
 
 
 class TestInitialSlope:

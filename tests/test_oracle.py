@@ -450,6 +450,15 @@ class TestEnergyAudit:
 
 
 class TestInputChecks:
+    def test_switched_steps_per_cycle_is_an_integer(self, fast_params):
+        p = fast_params
+        for steps in (200.5, 200.0):
+            with pytest.raises(ValueError, match="steps_per_cycle"):
+                simulate_switched(p, [], steps, 40 * p.period)
+        runs = [simulate_switched(p, [], steps, 40 * p.period).waveform
+                for steps in (np.int64(200), 200)]
+        assert np.array_equal(runs[0].samples, runs[1].samples)
+
     def test_switched_checks(self, fast_params):
         p = fast_params
         with pytest.raises(ValueError, match="steps_per_cycle"):
