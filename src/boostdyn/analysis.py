@@ -4,6 +4,8 @@ overshoot-mitigation paths over the component space.
 ``closed_form`` is the one place that solves an (event, model) pair in
 closed form, once, for its metrics, its pre-event level and its post-event
 response; ``closed_form_metrics``, ``compare_models`` and the CLI all use it.
+``_cold_start`` is the one place that evaluates a cold start for sweeps and
+descents: the TFM on its array kernel, EBM and FR through ``closed_form``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ import numpy as np
 
 from . import ebm, refmodel, tfm_line, tfm_load
 from .circuit import (
+    FIELD_RULES,
     ConverterParams,
     ModelDomainError,
-    ParameterError,
     ResponseMetrics,
     StepEvent,
     StepKind,
     Waveform,
+    _check_fields,
+    field_violations,
 )
 from .oracle import simulate_averaged, simulate_switched
 from .steady import steady_output
@@ -174,7 +178,7 @@ def closed_form(p: ConverterParams, event: StepEvent, model: str) -> ClosedForm:
             form = ebm.load_step_form(p, event.value_before, event.value_after)
         return ClosedForm(ebm.ebm_metrics(form), form.v0, lambda t: ebm.ebm_response(form, t))
     if model not in ("tfm", "fr"):
-        raise ValueError(model)
+        raise ValueError(f"model must be one of 'ebm', 'tfm' or 'fr', not {model!r}")
     if event.kind is StepKind.INPUT_VOLTAGE:
         if model == "fr":
             base = event.value_before / (1.0 - p.d)
@@ -347,19 +351,29 @@ class SweepGrid:
         return np.isfinite(self.values)
 
 
-def _metric_for(p: ConverterParams, model: str, metric: str) -> float:
-    m = closed_form_metrics(p, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, p.v_i), model)
+def _cold_start(q, model: str, metric: str):
+    """``metric`` ("v_steady", "v_max" or "t_p") of the cold start of ``q``,
+    an input step from 0 to ``q.v_i``; NaN where it has no value (t_p of a
+    peak-free response).
+
+    ``q`` is a record or any object that carries its fields.  The TFM goes
+    straight to its kernel, which also takes the fields as arrays that
+    broadcast and then answers in their shape; EBM and FR solve one design
+    through ``closed_form_metrics``, which refuses any other model.
+    """
+    if model == "tfm":
+        solved = tfm_line.line_step_metrics(tfm_line.line_tf_coefficients(q), 0.0, q.v_i)
+        return dict(zip(("v_steady", "v_max", "t_p"), solved))[metric]
+    m = closed_form_metrics(q, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, q.v_i), model)
     value = getattr(m, metric)
     return math.nan if value is None else value
 
 
-def _checked_values(p: ConverterParams, axis: SweepAxis) -> np.ndarray:
-    """The axis values, NaN where ``p`` with that value makes no record."""
+def _checked_values(axis: SweepAxis) -> np.ndarray:
+    """The axis values, NaN where they break the axis field's own rules."""
     values = axis.values
     for k, x in enumerate(values):
-        try:
-            replace(p, **{axis.name: float(x)})
-        except ParameterError:
+        if field_violations({axis.name: float(x)}):
             values[k] = np.nan
     return values
 
@@ -375,10 +389,12 @@ def sweep(
 
     ``metric`` is one of SWEEP_METRICS of a cold start, as
     ``closed_form_metrics`` gives it for each cell.  The TFM solves the
-    whole grid in one array call of its kernel; EBM, which has no array
-    kernel yet, cell by cell.  Cells whose parameters make no valid
-    record, land outside a model's domain or have no value (t_p of a
-    peak-free response) are NaN and marked invalid, never interpolated.
+    whole grid in one array call of its kernel, on axis values checked by
+    their own field's rules (``circuit.FIELD_RULES``); EBM, which has no
+    array kernel yet, builds and solves a record per cell.  Cells whose
+    parameters make no valid record, land outside a model's domain or have
+    no value (t_p of a peak-free response) are NaN and marked invalid,
+    never interpolated.
     """
     if axis1.name not in SWEEP_AXES or axis2.name not in SWEEP_AXES:
         raise UnsupportedAxisPair(f"axes must be drawn from {SWEEP_AXES}")
@@ -392,16 +408,13 @@ def sweep(
         raise ValueError(f"sweep metric must be one of {SWEEP_METRICS}, not {metric!r}")
 
     if model == "tfm":
-        # Every invariant of validate_params reads one field, so a cell
-        # makes a record exactly when each of its two axis values does with
-        # the other fields of p: n1 + n2 records check all n1 n2 cells.
+        # A cell makes a record exactly when each of its two axis values
+        # passes its field's rules: n1 + n2 checks cover all n1 n2 cells.
         # Arrays all, so that a v_i <= 0 of p gives NaN cells, not a raise.
         fields = {name: np.asarray(getattr(p, name)) for name in SWEEP_AXES}
-        fields[axis1.name] = _checked_values(p, axis1)[:, None]
-        fields[axis2.name] = _checked_values(p, axis2)[None, :]
-        q = SimpleNamespace(**fields)
-        solved = tfm_line.line_step_metrics(tfm_line.line_tf_coefficients(q), 0.0, q.v_i)
-        cells = dict(zip(("v_steady", "v_max", "t_p"), solved))[metric]
+        fields[axis1.name] = _checked_values(axis1)[:, None]
+        fields[axis2.name] = _checked_values(axis2)[None, :]
+        cells = _cold_start(SimpleNamespace(**fields), model, metric)
         valid = np.isfinite(fields[axis1.name]) & np.isfinite(fields[axis2.name])
         values = np.where(valid, cells, np.nan)
         return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values)
@@ -412,7 +425,7 @@ def sweep(
         for j, y in enumerate(v2):
             try:
                 q = replace(p, **{axis1.name: float(x), axis2.name: float(y)})
-                values[i, j] = _metric_for(q, model, metric)
+                values[i, j] = _cold_start(q, model, metric)
             except (ValueError, ModelDomainError):
                 pass
     return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values)
@@ -483,10 +496,15 @@ def steepest_descent(
     """Greedy overshoot descent over two or three free component axes.
 
     The gradient of the startup peak is taken by central differences in
-    log-parameter space, one closed form per probe; each move starts at 5
+    log-parameter space.  A probe is no record: it is the current design's
+    fields with one value moved, checked by that field's own rules (a
+    refused probe raises ParameterError) and solved by ``_cold_start``,
+    which sends the TFM straight to its line kernel.  Each move starts at 5
     percent of the current magnitudes and is halved until the (projected)
-    step strictly lowers the peak.  Constraints are enforced by projection
-    after every step.
+    step strictly lowers the peak; an accepted move is a record, a
+    DescentStep.  Constraints are enforced by projection after every step.
+    ``model`` is "ebm", "tfm" or "fr", and ``r_l_budget``, the bound of
+    "parasitic-loss-bound" (``p.r_l`` when None), a finite resistance >= 0.
     """
     if not 2 <= len(set(free)) == len(free) <= 3:
         raise ValueError(f"free must name two or three distinct parameters, not {list(free)}")
@@ -497,23 +515,30 @@ def steepest_descent(
         raise ValueError(f"constraint must be one of {CONSTRAINTS}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, not {max_steps!r}")
+    # min(r_l, nan) keeps r_l, so a NaN budget would bound nothing
+    if r_l_budget is not None and not 0.0 <= r_l_budget < math.inf:
+        raise ValueError(f"r_l_budget must be a finite resistance >= 0, not {r_l_budget!r}")
 
     targets = (steady_output(p), p.l * p.c, p.r_l if r_l_budget is None else r_l_budget)
 
-    def objective(q: ConverterParams) -> float:
-        return _metric_for(q, model, "v_max")
+    def objective(q) -> float:
+        # the TFM kernel answers numpy scalars; a DescentStep holds a float
+        return float(_cold_start(q, model, "v_max"))
 
-    def moved(q: ConverterParams, logs) -> ConverterParams:
-        """``q`` with each value named in ``logs`` scaled by e^s, as one record."""
-        return replace(q, **{name: getattr(q, name) * math.exp(s) for name, s in logs})
+    def probe(fields: dict, name: str, s: float) -> float:
+        """The peak of ``fields`` with the value of ``name`` scaled by e^s."""
+        q = SimpleNamespace(**{**fields, name: fields[name] * math.exp(s)})
+        _check_fields(q, (name,))
+        return objective(q)
 
     start = _project(p, constraint, targets)
     steps = [DescentStep(start, objective(start))]
     h = 1e-4
     for _ in range(max_steps):
         current, v_now = steps[-1].params, steps[-1].v_max
-        grad = np.array([objective(moved(current, [(name, h)]))
-                         - objective(moved(current, [(name, -h)])) for name in free]) / (2.0 * h)
+        fields = {name: getattr(current, name) for name in FIELD_RULES}
+        grad = np.array([probe(fields, name, h) - probe(fields, name, -h)
+                         for name in free]) / (2.0 * h)
         norm = float(np.linalg.norm(grad))
         if norm < 1e-6 * v_now:
             break
@@ -522,7 +547,8 @@ def steepest_descent(
         for k in range(40):
             step = 0.05 * 0.5**k
             try:
-                cand = moved(current, [(name, step * g) for name, g in zip(free, direction)])
+                cand = replace(current, **{name: getattr(current, name) * math.exp(step * g)
+                                           for name, g in zip(free, direction)})
                 cand = _project(cand, constraint, targets)
                 v_cand = objective(cand)
             except (ValueError, ModelDomainError):

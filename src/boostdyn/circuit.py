@@ -7,9 +7,10 @@ No implicit milli/micro scaling anywhere in the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from math import isfinite
+from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -77,26 +78,67 @@ class ConverterParams:
         return 1.0 / self.f_sw
 
 
+#: The record invariants, one rule per field: the violation a value raises
+#: unless the test, a Python expression in the value ``{x}``, holds.  A value
+#: must also be finite, or it raises NonFiniteValue too.  Every invariant
+#: reads one field, so a design that differs from a valid record in k fields
+#: is valid when those k pass.
+FIELD_RULES: dict[str, tuple[str, str]] = {
+    "l": ("NonPositiveComponent", "{x} > 0"),
+    "c": ("NonPositiveComponent", "{x} > 0"),
+    "r_0": ("NonPositiveComponent", "{x} > 0"),
+    "f_sw": ("NonPositiveComponent", "{x} > 0"),
+    "r_l": ("NegativeParasitic", "not {x} < 0"),
+    "r_c": ("NegativeParasitic", "not {x} < 0"),
+    "r_m": ("NegativeParasitic", "not {x} < 0"),
+    "v_d": ("NegativeParasitic", "not {x} < 0"),
+    "v_i": ("NegativeParasitic", "not {x} < 0"),
+    "d": ("DutyOutOfRange", "0.0 < {x} < 1.0"),
+}
+
+#: field -> its rule's test, as a function of the value
+_FIELD_TESTS = {name: eval(f"lambda x: {test.format(x='x')}")
+                for name, (_, test) in FIELD_RULES.items()}
+
+#: Every rule and finiteness of a whole design ``p`` as one expression of
+#: attribute loads and comparisons: the check that every record makes, with
+#: no function call per field.
+_ALL_HOLD = eval("lambda p: " + " and ".join(
+    f"({test.format(x='p.' + name)}) and isfinite(p.{name})"
+    for name, (_, test) in FIELD_RULES.items()), {"isfinite": isfinite})
+
+
+def field_violations(values: Mapping[str, float]) -> list[tuple[str, str]]:
+    """The invariants broken by ``values``, field names mapped to values.
+
+    They are in the order ParameterError names them: the rule violations in
+    the order of FIELD_RULES, then NonFiniteValue in the record's field order.
+    """
+    broken = [(code, name) for name, (code, _) in FIELD_RULES.items()
+              if name in values and not _FIELD_TESTS[name](values[name])]
+    return broken + [("NonFiniteValue", f.name) for f in fields(ConverterParams)
+                     if f.name in values and not isfinite(values[f.name])]
+
+
+def _check_fields(q, names: Collection[str]) -> None:
+    """Raise ParameterError naming every invariant that the fields ``names``
+    of ``q``, a record or any object that carries them, break; each field
+    is checked by its own rules and no other."""
+    for name in names:
+        x = getattr(q, name)
+        if not (_FIELD_TESTS[name](x) and isfinite(x)):
+            raise ParameterError(field_violations({n: getattr(q, n) for n in names}))
+
+
 def validate_params(p: ConverterParams) -> ConverterParams:
     """Return ``p`` unchanged if every invariant holds, else raise ParameterError.
 
-    All violations are collected before raising so a caller sees every
-    problem at once.  ``ConverterParams`` runs it on every record it builds.
+    Each field is checked by its rules in FIELD_RULES, and all violations
+    are collected before raising, so a caller sees every problem at once.
+    ``ConverterParams`` runs it on every record it builds.
     """
-    violations: list[tuple[str, str]] = []
-    for name in ("l", "c", "r_0", "f_sw"):
-        if not getattr(p, name) > 0:
-            violations.append(("NonPositiveComponent", name))
-    for name in ("r_l", "r_c", "r_m", "v_d", "v_i"):
-        if getattr(p, name) < 0:
-            violations.append(("NegativeParasitic", name))
-    if not 0.0 < p.d < 1.0:
-        violations.append(("DutyOutOfRange", "d"))
-    for name in ("v_i", "l", "r_l", "c", "r_c", "r_m", "v_d", "r_0", "d", "f_sw"):
-        if not math.isfinite(getattr(p, name)):
-            violations.append(("NonFiniteValue", name))
-    if violations:
-        raise ParameterError(violations)
+    if not _ALL_HOLD(p):
+        _check_fields(p, FIELD_RULES)
     return p
 
 

@@ -13,6 +13,9 @@ peak voltage of an underdamped TF are evaluated in closed form.
 The coefficients and the peak are numpy expressions that broadcast: fed
 parameter arrays, ``line_tf_coefficients`` and ``line_step_metrics`` solve
 a whole grid of designs in one call, and a single design is their 0-d case.
+The kernel reads the fields by attribute from any object that carries
+them, so a design need not be built as a record to be solved: a sweep's
+grid and a descent's gradient probes are plain namespaces.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ class SecondOrderTF:
 def line_tf_coefficients(p: ConverterParams) -> SecondOrderTF:
     """Coefficients of the input-to-output transfer function.
 
-    ``p`` is a record or any object with its fields as arrays that
-    broadcast together; the coefficients then have their broadcast shape
-    and are NaN in the cells whose v_i <= 0, which one design refuses.
+    ``p`` is a record or any object that carries its fields, as scalars
+    or as arrays that broadcast together; the coefficients then have their
+    broadcast shape and are NaN in the cells whose v_i <= 0, which one
+    design refuses.
     """
     v_i = p.v_i
     if isinstance(v_i, np.ndarray):

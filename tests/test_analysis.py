@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from boostdyn import (ConverterParams, StepEvent, StepKind, Waveform, analysis,
-                      simulate_switched, tfm_line, tfm_load)
+from boostdyn import (ConverterParams, StepEvent, StepKind, Waveform, analysis, circuit,
+                      ebm, refmodel, simulate_switched, tfm_line, tfm_load)
 from boostdyn.circuit import DischargedSourceWarning, ModelDomainError, ParameterError
 from boostdyn.steady import steady_output
 
@@ -242,7 +242,7 @@ class TestClosedForm:
         assert np.array_equal(solved.after(t), steady_output(load_params) + modes.deviation(t))
 
     def test_unknown_model_is_refused(self, line_params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"'ebm', 'tfm' or 'fr', not 'avg\+par'"):
             analysis.closed_form(line_params, cold_start(line_params), "avg+par")
 
     @pytest.mark.parametrize("model", ["ebm", "tfm", "fr"])
@@ -465,18 +465,129 @@ class TestSteepestDescent:
     def test_refused_probe_raises(self, line_params):
         # d e^h leaves (0, 1), so the first gradient probe is no record
         near_one = dataclasses.replace(line_params, d=0.99995)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as record:
+            dataclasses.replace(near_one, d=near_one.d * math.exp(1e-4))
+        with pytest.raises(ParameterError) as probe:
             analysis.steepest_descent(near_one, ("d", "l"))
+        assert str(probe.value) == str(record.value)
+        assert probe.value.violations == record.value.violations
 
     def test_repeated_free_name_is_refused(self, line_params):
         with pytest.raises(ValueError, match="distinct"):
             analysis.steepest_descent(line_params, ["l", "l"])
+
+    @pytest.mark.parametrize("budget", [math.nan, -0.5, math.inf, -math.inf])
+    def test_budget_that_bounds_nothing_is_refused_before_any_solve(self, line_params,
+                                                                    monkeypatch, budget):
+        # min(r_l, nan) keeps r_l: a NaN budget would let r_l climb 1.5 -> 1.87 ohm in 5 steps
+        unsolved(monkeypatch)
+        with pytest.raises(ValueError, match=f"r_l_budget must be .*, not {budget!r}"):
+            analysis.steepest_descent(line_params, ("l", "r_l"), "parasitic-loss-bound",
+                                      r_l_budget=budget)
+
+    def test_zero_budget_holds_the_design_at_no_series_resistance(self, line_params):
+        path = analysis.steepest_descent(line_params, ("l", "r_l"), "parasitic-loss-bound",
+                                         max_steps=3, r_l_budget=0.0)
+        assert [step.params.r_l for step in path.steps] == [0.0] * len(path.steps)
+
+    def test_unknown_model_is_refused_by_name_before_any_solve(self, line_params, monkeypatch):
+        unsolved(monkeypatch)
+        with pytest.raises(ValueError, match="'ebm', 'tfm' or 'fr', not 'xyz'"):
+            analysis.steepest_descent(line_params, ("l", "c"), model="xyz")
+
+    def test_tfm_descent_solves_no_probe_through_a_record(self, line_params, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a probe was solved through closed_form_metrics")
+
+        records, solves = [], []
+        validate, metrics = circuit.validate_params, tfm_line.line_step_metrics
+        monkeypatch.setattr(analysis, "closed_form_metrics", fail)
+        monkeypatch.setattr(circuit, "validate_params", lambda p: records.append(p) or validate(p))
+        monkeypatch.setattr(tfm_line, "line_step_metrics",
+                            lambda *args: solves.append(args) or metrics(*args))
+        free = ("c", "r_l", "d")
+        path = analysis.steepest_descent(line_params, free, max_steps=8)
+        assert len(path.steps) == 9
+        # every record is a line-search candidate, solved once; the rest of
+        # the solves are the start and two probes per free axis per step
+        assert len(solves) - len(records) == 1 + 2 * len(free) * 8
 
     def test_negative_max_steps_is_refused(self, line_params):
         with pytest.raises(ValueError, match="max_steps"):
             analysis.steepest_descent(line_params, ("l", "c"), max_steps=-3)
         # no steps: the path is the starting design alone
         assert len(analysis.steepest_descent(line_params, ("l", "c"), max_steps=0).steps) == 1
+
+
+def unsolved(monkeypatch):
+    """Make every closed-form solve fail."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a closed form was solved")
+
+    for module, name in ((tfm_line, "line_tf_coefficients"), (ebm, "startup_form"),
+                         (refmodel, "fr_tf")):
+        monkeypatch.setattr(module, name, fail)
+
+
+def record_descent(p, free, constraint, max_steps, model):
+    """The descent with a record per probe: each gradient probe is a
+    ``dataclasses.replace`` solved by closed_form_metrics.  steepest_descent's
+    record-free probes must walk its path bit for bit."""
+    targets = (steady_output(p), p.l * p.c, p.r_l)
+
+    def objective(q):
+        return analysis.closed_form_metrics(q, cold_start(q), model).v_max
+
+    def moved(q, logs):
+        return dataclasses.replace(q, **{name: getattr(q, name) * math.exp(s)
+                                         for name, s in logs})
+
+    start = analysis._project(p, constraint, targets)
+    steps = [(start, objective(start))]
+    h = 1e-4
+    for _ in range(max_steps):
+        current, v_now = steps[-1]
+        grad = np.array([objective(moved(current, [(name, h)]))
+                         - objective(moved(current, [(name, -h)])) for name in free]) / (2.0 * h)
+        norm = float(np.linalg.norm(grad))
+        if norm < 1e-6 * v_now:
+            break
+        direction = (-grad / norm).tolist()
+        for k in range(40):
+            step = 0.05 * 0.5**k
+            try:
+                cand = moved(current, [(name, step * g) for name, g in zip(free, direction)])
+                cand = analysis._project(cand, constraint, targets)
+                v_cand = objective(cand)
+            except (ValueError, ModelDomainError):
+                continue
+            if v_cand < v_now - 1e-9 * steps[0][1]:
+                steps.append((cand, v_cand))
+                break
+        else:
+            break
+    return steps
+
+
+def bits(steps):
+    """Every float of the (params, v_max) steps by its exact bits."""
+    return [[float.hex(float(x)) for x in (*dataclasses.astuple(q), v)] for q, v in steps]
+
+
+class TestRecordFreeDescent:
+    """Probes as field sets walk the path that records per probe walked."""
+
+    @pytest.mark.parametrize("model", ["tfm", "ebm"])
+    @pytest.mark.parametrize("constraint", analysis.CONSTRAINTS)
+    @pytest.mark.parametrize("design, free", DESCENT_PATHS)
+    def test_every_step_is_bitwise_the_record_descent(self, request, design, free,
+                                                      constraint, model):
+        p = request.getfixturevalue(design)
+        path = analysis.steepest_descent(p, free, constraint=constraint, max_steps=8,
+                                         model=model)
+        want = record_descent(p, free, constraint, 8, model)
+        assert bits([(s.params, s.v_max) for s in path.steps]) == bits(want)
+        assert all(type(s.v_max) is float for s in path.steps)
 
 
 class TestResolveDuty:

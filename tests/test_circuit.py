@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from boostdyn.circuit import (
     StepEvent,
     StepKind,
     Waveform,
+    _check_fields,
     _first_crossing,
+    field_violations,
     validate_params,
 )
 
@@ -62,6 +65,7 @@ class TestValidateParams:
                 ("NegativeParasitic", "r_c")} <= got
         assert str(exc.value) == ("invalid converter parameters: NonPositiveComponent(l); "
                                   "NegativeParasitic(r_c); DutyOutOfRange(d)")
+        assert field_violations({"d": 1.5, "r_c": -1.0, "l": 0.0}) == exc.value.violations
 
     def test_replace_refuses_a_full_duty(self, line_params):
         # every derived record is checked: sweep cells, descent probes, load models
@@ -79,6 +83,24 @@ class TestValidateParams:
             v_d=v_d, r_0=r_0, d=d, f_sw=1e4,
         )
         assert validate_params(p) is p
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 0.5,
+                                   1.0, 2.0])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ConverterParams)])
+    def test_field_rules_are_the_record_invariants(self, line_params, name, x):
+        try:
+            dataclasses.replace(line_params, **{name: x})
+            want = []
+        except ParameterError as exc:
+            want = exc.violations
+        assert field_violations({name: x}) == want
+        probe = SimpleNamespace(**{name: x})
+        if want:
+            with pytest.raises(ParameterError) as exc:
+                _check_fields(probe, (name,))
+            assert exc.value.violations == want
+        else:
+            assert _check_fields(probe, (name,)) is None
 
     def test_period(self, line_params):
         assert line_params.period == pytest.approx(1e-4)

@@ -206,6 +206,20 @@ class TestDescend:
         assert (payload["error"], payload["exit_code"]) == ("ConfigError", 2)
         assert "distinct" in payload["message"]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("r_l_budget", -0.5, "r_l_budget must be a finite resistance >= 0, not -0.5"),
+        ("model", "xyz", "model must be one of 'ebm', 'tfm' or 'fr', not 'xyz'")])
+    def test_refused_argument_exits_two_naming_it(self, line_params, tmp_path, capsys,
+                                                 key, value, message):
+        descent = {"free": ["l", "r_l"], "constraint": "parasitic-loss-bound", key: value}
+        config = write_config(tmp_path, line_params, descent=descent)
+        out = tmp_path / "path.csv"
+        assert cli.main(["descend", "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert json.loads(captured.err) == {"error": "ConfigError", "exit_code": 2,
+                                            "message": message}
+
 
 class TestSweep:
     def test_csv_marks_invalid_cells(self, line_params, tmp_path):
