@@ -5,12 +5,14 @@ overshoot-mitigation paths over the component space.
 closed form, once, for its metrics, its pre-event level and its post-event
 response; ``closed_form_metrics``, ``compare_models`` and the CLI all use it.
 ``_cold_start`` is the one place that evaluates a cold start for sweeps and
-descents: the TFM on its array kernel, EBM and FR through ``closed_form``.
+descents: the TFM and the EBM steady value as array expressions, every
+other EBM and FR metric through ``closed_form``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from types import SimpleNamespace
@@ -27,8 +29,8 @@ from .circuit import (
     StepEvent,
     StepKind,
     Waveform,
+    _FIELD_TESTS,
     _check_fields,
-    field_violations,
 )
 from .oracle import simulate_averaged, simulate_switched
 from .steady import steady_output
@@ -105,7 +107,7 @@ def extract_metrics(w: Waveform, t_event: float) -> ResponseMetrics:
 MODEL_ROWS = ("ebm", "tfm", "fr", "avg+par", "avg-par", "switched")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelRow:
     model: str
     v_steady: float
@@ -325,11 +327,14 @@ class SweepAxis:
     log: bool = False
 
     def __post_init__(self) -> None:
-        if self.log:
-            for bound in ("lo", "hi"):
-                if not getattr(self, bound) > 0:
-                    raise ValueError(f"log axis {self.name!r} needs {bound} > 0, "
-                                     f"not {getattr(self, bound)!r}")
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"axis {self.name!r} needs an integer n, not {self.n!r}")
+        for bound in ("lo", "hi"):
+            value = getattr(self, bound)
+            if not math.isfinite(value):
+                raise ValueError(f"axis {self.name!r} needs a finite {bound}, not {value!r}")
+            if self.log and not value > 0:
+                raise ValueError(f"log axis {self.name!r} needs {bound} > 0, not {value!r}")
 
     @property
     def values(self) -> np.ndarray:
@@ -356,14 +361,20 @@ def _cold_start(q, model: str, metric: str):
     an input step from 0 to ``q.v_i``; NaN where it has no value (t_p of a
     peak-free response).
 
-    ``q`` is a record or any object that carries its fields.  The TFM goes
-    straight to its kernel, which also takes the fields as arrays that
-    broadcast and then answers in their shape; EBM and FR solve one design
-    through ``closed_form_metrics``, which refuses any other model.
+    ``q`` is a record or any object that carries its fields.  Two pairs
+    take the fields as arrays that broadcast, and then answer in their
+    shape: the TFM, on its kernel, and the EBM's steady value, the DC
+    solution forcing / m0 of its ODE, with no transient solved (NaN where
+    m2 or m0 is not positive, which the standard form refuses).  Every
+    other EBM metric and FR solve one design through
+    ``closed_form_metrics``, which refuses any other model.
     """
     if model == "tfm":
         solved = tfm_line.line_step_metrics(tfm_line.line_tf_coefficients(q), 0.0, q.v_i)
         return dict(zip(("v_steady", "v_max", "t_p"), solved))[metric]
+    if model == "ebm" and metric == "v_steady":
+        co = ebm.ode_coefficients(q)
+        return np.where((co.m2 > 0.0) & (co.m0 > 0.0), co.forcing / co.m0, np.nan)[()]
     m = closed_form_metrics(q, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, q.v_i), model)
     value = getattr(m, metric)
     return math.nan if value is None else value
@@ -371,11 +382,9 @@ def _cold_start(q, model: str, metric: str):
 
 def _checked_values(axis: SweepAxis) -> np.ndarray:
     """The axis values, NaN where they break the axis field's own rules."""
-    values = axis.values
-    for k, x in enumerate(values):
-        if field_violations({axis.name: float(x)}):
-            values[k] = np.nan
-    return values
+    test = _FIELD_TESTS[axis.name]
+    return np.array([x if test(x) and math.isfinite(x) else math.nan
+                     for x in axis.values.tolist()])
 
 
 def sweep(
@@ -388,13 +397,14 @@ def sweep(
     """Startup-overshoot response surface over two component axes.
 
     ``metric`` is one of SWEEP_METRICS of a cold start, as
-    ``closed_form_metrics`` gives it for each cell.  The TFM solves the
-    whole grid in one array call of its kernel, on axis values checked by
-    their own field's rules (``circuit.FIELD_RULES``); EBM, which has no
-    array kernel yet, builds and solves a record per cell.  Cells whose
-    parameters make no valid record, land outside a model's domain or have
-    no value (t_p of a peak-free response) are NaN and marked invalid,
-    never interpolated.
+    ``closed_form_metrics`` gives it for each cell.  The axis values are
+    checked once, each by its own field's rules (``circuit.FIELD_RULES``).
+    Every pair that ``_cold_start`` answers on arrays (the TFM, and the
+    EBM's steady value) is then solved as the whole grid in one call; the
+    EBM's peak and peak time, which have no array form yet, are solved cell
+    by cell on field sets, never records.  Cells whose parameters make no
+    valid record, land outside a model's domain or have no value (t_p of a
+    peak-free response) are NaN and marked invalid, never interpolated.
     """
     if axis1.name not in SWEEP_AXES or axis2.name not in SWEEP_AXES:
         raise UnsupportedAxisPair(f"axes must be drawn from {SWEEP_AXES}")
@@ -407,24 +417,27 @@ def sweep(
     if metric not in SWEEP_METRICS:
         raise ValueError(f"sweep metric must be one of {SWEEP_METRICS}, not {metric!r}")
 
-    if model == "tfm":
-        # A cell makes a record exactly when each of its two axis values
-        # passes its field's rules: n1 + n2 checks cover all n1 n2 cells.
-        # Arrays all, so that a v_i <= 0 of p gives NaN cells, not a raise.
+    # A cell makes a record exactly when each of its two axis values passes
+    # its field's rules: n1 + n2 checks cover all n1 n2 cells.
+    x1, x2 = _checked_values(axis1), _checked_values(axis2)
+    if model == "tfm" or metric == "v_steady":  # the pairs _cold_start solves on arrays
+        # Arrays all, so that a v_i <= 0 of p gives NaN TFM cells, not a raise.
         fields = {name: np.asarray(getattr(p, name)) for name in SWEEP_AXES}
-        fields[axis1.name] = _checked_values(axis1)[:, None]
-        fields[axis2.name] = _checked_values(axis2)[None, :]
+        fields[axis1.name], fields[axis2.name] = x1[:, None], x2[None, :]
         cells = _cold_start(SimpleNamespace(**fields), model, metric)
-        valid = np.isfinite(fields[axis1.name]) & np.isfinite(fields[axis2.name])
+        valid = np.isfinite(x1)[:, None] & np.isfinite(x2)[None, :]
         values = np.where(valid, cells, np.nan)
         return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values)
 
-    v2 = axis2.values
+    fields = {name: getattr(p, name) for name in FIELD_RULES}
     values = np.full((axis1.n, axis2.n), np.nan)
-    for i, x in enumerate(axis1.values):
-        for j, y in enumerate(v2):
+    column = x2.tolist()
+    for i, x in enumerate(x1.tolist()):
+        for j, y in enumerate(column):
+            if math.isnan(x) or math.isnan(y):
+                continue
+            q = SimpleNamespace(**{**fields, axis1.name: x, axis2.name: y})
             try:
-                q = replace(p, **{axis1.name: float(x), axis2.name: float(y)})
                 values[i, j] = _cold_start(q, model, metric)
             except (ValueError, ModelDomainError):
                 pass
@@ -436,13 +449,13 @@ def sweep(
 CONSTRAINTS = (None, "constant-steady-output", "constant-omega0", "parasitic-loss-bound")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentStep:
     params: ConverterParams
     v_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentPath:
     steps: tuple[DescentStep, ...]
     constraint: Optional[str]
@@ -513,8 +526,8 @@ def steepest_descent(
             raise UnsupportedAxisPair(f"{name!r} is not a sweepable parameter")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, not {max_steps!r}")
+    if not isinstance(max_steps, numbers.Integral) or max_steps < 0:
+        raise ValueError(f"max_steps must be an integer >= 0, not {max_steps!r}")
     # min(r_l, nan) keeps r_l, so a NaN budget would bound nothing
     if r_l_budget is not None and not 0.0 <= r_l_budget < math.inf:
         raise ValueError(f"r_l_budget must be a finite resistance >= 0, not {r_l_budget!r}")

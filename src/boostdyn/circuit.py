@@ -40,7 +40,7 @@ class NonFiniteTime(ModelDomainError):
     """A response was requested at a non-finite time."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConverterParams:
     """Full component set of the non-ideal Boost circuit.
 
@@ -204,7 +204,7 @@ class Waveform:
         return self.t0 + self.dt * np.arange(self.samples.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseMetrics:
     """Steady value, transient extremum, and peak timing of one response.
 

@@ -68,15 +68,26 @@ class SecondOrderForm:
 
 
 def ode_coefficients(p: ConverterParams, r_0: float | None = None) -> OdeCoefficients:
-    """Build the averaged ODE coefficients, optionally at an overridden load."""
-    r0 = p.r_0 if r_0 is None else r_0
-    if r0 <= 0:
-        raise ValueError("load resistance must be > 0")
+    """Build the averaged ODE coefficients, optionally at an overridden load.
+
+    ``p`` is a record or any object that carries its fields, as scalars or
+    as arrays that broadcast together; the coefficients then have their
+    broadcast shape.  Only an overriding ``r_0`` is checked here (> 0): a
+    record's own fields already hold their rules.  Squares are products, as
+    numpy's array power and Python's ``**`` can differ in the last bit, so
+    that an array cell is bitwise its scalar design.
+    """
+    r0 = p.r_0
+    if r_0 is not None:
+        if r_0 <= 0:
+            raise ValueError("load resistance must be > 0")
+        r0 = r_0
     one_d = 1.0 - p.d
+    q = one_d * one_d
     m2 = p.l * p.c
     m1 = p.l / r0 + p.c * (p.r_l + p.d * p.r_m)
-    m0 = one_d**2 + (one_d**2 * p.r_c + p.r_l + p.d * p.r_m) / r0
-    forcing = one_d * p.v_i - one_d**2 * p.v_d
+    m0 = q + (q * p.r_c + p.r_l + p.d * p.r_m) / r0
+    forcing = one_d * p.v_i - q * p.v_d
     return OdeCoefficients(m2=m2, m1=m1, m0=m0, forcing=forcing)
 
 

@@ -278,6 +278,21 @@ class TestSweep:
             analysis.SweepAxis("l", lo, hi, 4, log=True)
         assert analysis.SweepAxis("l", lo, hi, 4).values.size == 4
 
+    @pytest.mark.parametrize("bound", ["lo", "hi"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_non_finite_bound_is_refused_by_name(self, bound, value, log):
+        # a linear axis from 0.2 to inf was all NaN, its 0.2 included
+        bounds = {"lo": 0.2, "hi": 0.8, bound: value}
+        with pytest.raises(ValueError, match=f"axis 'd' needs a finite {bound}, not {value!r}"):
+            analysis.SweepAxis("d", n=3, log=log, **bounds)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.nan, "3"])
+    def test_non_integer_count_is_refused_by_name(self, n):
+        with pytest.raises(ValueError, match=f"axis 'd' needs an integer n, not {n!r}"):
+            analysis.SweepAxis("d", 0.2, 0.8, n)
+        assert analysis.SweepAxis("d", 0.2, 0.8, np.int64(3)).values.size == 3
+
     def test_mask_is_derived_from_the_values(self, line_params):
         grid = analysis.sweep(line_params, self.AXIS_L, analysis.SweepAxis("c", 2e-5, 8e-5, 3))
         assert "valid" not in {f.name for f in dataclasses.fields(grid)}
@@ -331,21 +346,32 @@ class TestSweep:
         assert analysis.sweep(line_params, self.AXIS_L, axis_c).valid.all()
 
 
-def scalar_grid(p, axis1, axis2, metric):
-    """The sweep grid cell by cell through closed_form_metrics; NaN where
-    it refuses the cell or has no value."""
+def scalar_grid(p, axis1, axis2, metric, model="tfm"):
+    """The sweep grid cell by cell through closed_form_metrics on a record
+    per cell; NaN where it refuses the cell or has no value."""
     values = np.full((axis1.n, axis2.n), np.nan)
     refused = np.zeros(values.shape, dtype=bool)
     for i, x in enumerate(axis1.values):
         for j, y in enumerate(axis2.values):
             try:
                 q = dataclasses.replace(p, **{axis1.name: float(x), axis2.name: float(y)})
-                value = getattr(analysis.closed_form_metrics(q, cold_start(q), "tfm"), metric)
+                value = getattr(analysis.closed_form_metrics(q, cold_start(q), model), metric)
             except (ValueError, ModelDomainError):
                 refused[i, j] = True
                 continue
             values[i, j] = math.nan if value is None else value
     return values, refused
+
+
+def assert_scalar_parity(p, axes, metric, model):
+    """Every cell is bitwise its record's scalar closed form, and invalid
+    exactly where that record is refused."""
+    grid = analysis.sweep(p, *axes, model=model, metric=metric)
+    want, refused = scalar_grid(p, *axes, metric, model)
+    assert grid.values.shape == want.shape
+    assert np.array_equal(grid.values, want, equal_nan=True)
+    if metric != "t_p":
+        assert np.array_equal(~grid.valid, refused)
 
 
 class TestTfmSweepParity:
@@ -365,12 +391,7 @@ class TestTfmSweepParity:
     @pytest.mark.parametrize("metric", analysis.SWEEP_METRICS)
     @pytest.mark.parametrize("axes", AXES.values(), ids=AXES.keys())
     def test_cells_equal_the_scalar_path(self, line_params, axes, metric):
-        grid = analysis.sweep(line_params, *axes, metric=metric)
-        want, refused = scalar_grid(line_params, *axes, metric)
-        assert grid.values.shape == want.shape
-        assert np.array_equal(grid.values, want, equal_nan=True)
-        if metric != "t_p":
-            assert np.array_equal(~grid.valid, refused)
+        assert_scalar_parity(line_params, axes, metric, "tfm")
 
     def test_design_without_input_voltage_is_all_invalid(self, line_params):
         p = dataclasses.replace(line_params, v_i=0.0)
@@ -391,6 +412,85 @@ class TestTfmSweepParity:
         else:
             assert refused[-1].all() if name == "d" else refused[0].all()
             assert not refused.all()
+
+
+class TestEbmSweepParity:
+    """The EBM steady value is one array expression, its peak one field set
+    per cell; both are bitwise the scalar closed form of a record."""
+
+    AXES = {
+        **TestTfmSweepParity.AXES,
+        # at 1 - d = 0.5102, Python's ** and a product round the square
+        # apart, and the steady value with them; l leaves it as it is
+        "pow-rounds-apart": (analysis.SweepAxis("d", 0.4898, 0.4898, 1),
+                             analysis.SweepAxis("l", 1e-4, 2e-3, 3)),
+    }
+
+    @pytest.mark.parametrize("metric", analysis.SWEEP_METRICS)
+    @pytest.mark.parametrize("axes", AXES.values(), ids=AXES.keys())
+    def test_cells_equal_the_scalar_path(self, line_params, axes, metric):
+        assert_scalar_parity(line_params, axes, metric, "ebm")
+
+    def test_axes_reach_peak_free_cells(self, line_params):
+        _, refused = scalar_grid(line_params, *self.AXES["input-from-zero"], "v_max", "ebm")
+        t_p, _ = scalar_grid(line_params, *self.AXES["input-from-zero"], "t_p", "ebm")
+        peak_free = np.isnan(t_p) & ~refused
+        assert peak_free.any() and not (peak_free | refused).all()
+
+    def test_steady_value_solves_no_transient(self, line_params, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a transient was solved")
+
+        for module in (ebm, circuit):
+            monkeypatch.setattr(module, "_first_crossing", fail)
+        monkeypatch.setattr(ebm, "ebm_metrics", fail)
+        monkeypatch.setattr(ebm, "to_standard_form", fail)
+        axes = self.AXES["duty-past-one"]
+        grid = analysis.sweep(line_params, *axes, model="ebm", metric="v_steady")
+        assert grid.valid.any() and not grid.valid.all()
+
+    def test_peak_sweep_builds_no_record(self, line_params, monkeypatch):
+        def fail(p):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(circuit, "validate_params", fail)
+        axes = self.AXES["duty-past-one"]
+        grid = analysis.sweep(line_params, *axes, model="ebm", metric="v_max")
+        assert grid.valid.any() and not grid.valid.all()
+
+
+class TestSlottedRecords:
+    """The records the library returns carry no instance dict, and stay
+    frozen values; tests/test_circuit.py checks that a ConverterParams still
+    validates under dataclasses.replace."""
+
+    @staticmethod
+    def records(p):
+        step = analysis.DescentStep(p, 6.4)
+        return {
+            "params": p,
+            "metrics": analysis.closed_form_metrics(p, cold_start(p), "ebm"),
+            "step": step,
+            "path": analysis.DescentPath((step, step), "constant-omega0"),
+            "row": analysis.ModelRow("ebm", 5.4, 6.4, 1e-3, 0.5, 1.5, 0.01, ("overdamped",)),
+        }
+
+    @pytest.mark.parametrize("kind", ["params", "metrics", "step", "path", "row"])
+    def test_record_is_a_slotted_value(self, line_params, kind):
+        record = self.records(line_params)[kind]
+        twin = self.records(dataclasses.replace(line_params))[kind]
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert not hasattr(record, "__dict__")
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+        # no slot can hold it; the frozen class's own __setattr__ refuses it
+        # too, as a TypeError on Python 3.11
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "note", 1)
+        with pytest.raises((AttributeError, TypeError)):
+            record.note = 1
 
 
 #: every step's v_max of descents at max_steps=8, to 1e-12 relative; a
@@ -511,6 +611,14 @@ class TestSteepestDescent:
         # every record is a line-search candidate, solved once; the rest of
         # the solves are the start and two probes per free axis per step
         assert len(solves) - len(records) == 1 + 2 * len(free) * 8
+
+    @pytest.mark.parametrize("max_steps", [2.5, math.nan, 3.0])
+    def test_non_integer_max_steps_is_refused_by_name(self, line_params, monkeypatch,
+                                                      max_steps):
+        unsolved(monkeypatch)
+        with pytest.raises(ValueError, match=f"max_steps must be an integer >= 0, "
+                                             f"not {max_steps!r}"):
+            analysis.steepest_descent(line_params, ("l", "c"), max_steps=max_steps)
 
     def test_negative_max_steps_is_refused(self, line_params):
         with pytest.raises(ValueError, match="max_steps"):
