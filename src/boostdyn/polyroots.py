@@ -1,7 +1,10 @@
 """Simultaneous-iteration polynomial root finding (Durand-Kerner).
 
 ``all_roots`` refines every root of the monic polynomial at once from
-starting points on a circle that encloses them all.  It stops when the
+starting points on a circle that encloses them all.  Each sweep is one
+array update: every root moves by its polynomial value over the product of
+its differences from the other roots, all taken from the previous sweep's
+roots (Jacobi-style, as in Kerner's original iteration).  It stops when the
 largest update is at most ``tol`` (1e-13 by default) times the larger of 1
 and the largest root magnitude, or after ``max_iter`` sweeps (200 by
 default).  ``pair_conjugates`` then makes the roots of a real polynomial
@@ -18,13 +21,26 @@ def all_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
 
     Durand-Kerner iteration on the monic normalization, converged when the
     largest update falls below ``tol`` relative to the root magnitudes.
+    Each sweep is one array update from the previous sweep's roots: the row
+    products of the off-diagonal root differences, multiplied in the same
+    order as a per-root loop, so the roots are bitwise that loop's.
+
+    Raises ``ValueError`` for a coefficient that is NaN or infinite, or
+    that overflows when divided by the leading one, before any sweep.
     """
     a = np.asarray(coeffs, dtype=complex)
     if a.ndim != 1 or a.size < 2:
         raise ValueError("need a polynomial of degree >= 1")
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"coefficient {bad[0]} is not finite: {a[bad[0]]}")
     if a[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    monic = a / a[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        monic = a / a[0]
+    bad = np.flatnonzero(~np.isfinite(monic))
+    if bad.size:
+        raise ValueError(f"coefficient {bad[0]} overflows when divided by the leading one")
     n = monic.size - 1
 
     # Cauchy-style radius so starting points circle every root.
@@ -32,14 +48,14 @@ def all_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
     seed = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
     roots = seed.astype(complex)
 
+    off_diagonal = ~np.eye(n, dtype=bool)
     for _ in range(max_iter):
         vals = np.polyval(monic, roots)
-        new = roots.copy()
-        for i in range(n):
-            denom = np.prod(new[i] - np.delete(roots, i))
-            if denom == 0:
-                denom = 1e-30
-            new[i] = roots[i] - vals[i] / denom
+        # row i holds roots[i] - roots[j] for j != i, in increasing j
+        diffs = (roots[:, None] - roots[None, :])[off_diagonal].reshape(n, n - 1)
+        denom = diffs.prod(axis=1)
+        denom[denom == 0] = 1e-30
+        new = roots - vals / denom
         shift = np.max(np.abs(new - roots))
         scale = max(1.0, float(np.max(np.abs(new))))
         roots = new

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,12 +357,36 @@ class TestErrorContract:
 
 
 class TestWaveformCsv:
-    def test_bytes_match_the_row_writer(self, tmp_path):
-        samples = np.array([0.0, 0.1 + 0.2, -1e-300, 5.0, 1.0 / 3.0, 12345.678901234567])
-        wave = Waveform(0.0, 1e-7, samples)
+    @staticmethod
+    def both_writers(tmp_path, wave):
         fast, rows = tmp_path / "fast.csv", tmp_path / "rows.csv"
         cli.write_waveform_csv(str(fast), wave)
         cli.write_csv(str(rows), ["t", "v"],
                       [[float(t), float(v)] for t, v in zip(wave.times, wave.samples)])
-        assert fast.read_bytes() == rows.read_bytes()
-        assert fast.read_bytes().startswith(b"t,v\n0.0,0.0\n1e-07,0.30000000000000004\n")
+        return fast.read_bytes(), rows.read_bytes()
+
+    def test_bytes_match_the_row_writer(self, tmp_path):
+        samples = np.array([0.0, 0.1 + 0.2, -1e-300, 5.0, 1.0 / 3.0, 12345.678901234567])
+        fast, rows = self.both_writers(tmp_path, Waveform(0.0, 1e-7, samples))
+        assert fast == rows
+        assert fast.startswith(b"t,v\n0.0,0.0\n1e-07,0.30000000000000004\n")
+
+    def test_non_finite_and_negative_zero_values(self, tmp_path):
+        # Waveform refuses non-finite samples; the writer reads only the two
+        # arrays, so its formatting of every float is pinned on a stand-in
+        wave = SimpleNamespace(times=np.array([-0.0, np.nan, np.inf, -np.inf, 1e-7]),
+                               samples=np.array([np.nan, np.inf, -np.inf, -0.0, 0.0]))
+        fast, rows = self.both_writers(tmp_path, wave)
+        assert fast == rows
+        assert fast.splitlines() == [b"t,v", b"-0.0,nan", b"nan,inf", b"inf,-inf",
+                                     b"-inf,-0.0", b"1e-07,0.0"]
+
+    def test_switched_run_matches_the_row_writer(self, fast_params, tmp_path):
+        event = StepEvent(StepKind.INPUT_VOLTAGE, 0.0, fast_params.v_i)
+        sim_p, initial, events = analysis.simulation_setup(fast_params, event, "zero")
+        wave = simulate_switched(sim_p, events, 200, 35 * fast_params.period,
+                                 initial_state=initial).waveform
+        assert wave.samples.size == 7001
+        fast, rows = self.both_writers(tmp_path, wave)
+        assert fast == rows
+        assert fast.count(b"\n") == 7002

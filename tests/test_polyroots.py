@@ -1,11 +1,62 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from boostdyn.polyroots import all_roots, pair_conjugates
+from boostdyn.tfm_load import load_tf_corrected
 
 
 def sorted_roots(roots):
     return sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+
+
+def loop_roots(coeffs, tol=1e-13, max_iter=200):
+    """The per-root Durand-Kerner loop that ``all_roots`` replaces, kept as
+    its reference: same start, guard and stopping rule, one root at a time."""
+    a = np.asarray(coeffs, dtype=complex)
+    monic = a / a[0]
+    n = monic.size - 1
+    radius = 1.0 + float(np.max(np.abs(monic[1:])))
+    roots = (radius * (0.4 + 0.9j) ** np.arange(1, n + 1)).astype(complex)
+    for _ in range(max_iter):
+        vals = np.polyval(monic, roots)
+        new = roots.copy()
+        for i in range(n):
+            denom = np.prod(new[i] - np.delete(roots, i))
+            if denom == 0:
+                denom = 1e-30
+            new[i] = roots[i] - vals[i] / denom
+        shift = np.max(np.abs(new - roots))
+        scale = max(1.0, float(np.max(np.abs(new))))
+        roots = new
+        if shift <= tol * scale:
+            break
+    return roots
+
+
+def bitwise_equal(x, y):
+    """Equal bit for bit: signed zeros told apart, as np.array_equal does not."""
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def random_polynomials(count, seed):
+    """Degree 1-6 polynomials whose coefficient magnitudes span 1e-12 to
+    1e12 with random signs, less any draw on which the reference loop warns
+    (the suite turns warnings into errors)."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    while len(kept) < count:
+        degree = int(rng.integers(1, 7))
+        coeffs = rng.choice([-1.0, 1.0], degree + 1) * 10.0 ** rng.uniform(-12, 12, degree + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                reference = loop_roots(coeffs)
+            except RuntimeWarning:
+                continue
+        kept.append((coeffs, reference))
+    return kept
 
 
 class TestAllRoots:
@@ -51,6 +102,37 @@ class TestAllRoots:
     def test_rejects_zero_leading_coefficient(self):
         with pytest.raises(ValueError):
             all_roots([0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_rejects_non_finite_coefficient_by_index(self, value, index):
+        coeffs = [1.0, -3.0, 2.0, 5.0]
+        coeffs[index] = value
+        with pytest.raises(ValueError, match=f"coefficient {index} is not finite"):
+            all_roots(coeffs)
+
+    def test_rejects_coefficient_that_overflows_when_normalised(self):
+        with pytest.raises(ValueError, match="coefficient 1 overflows"):
+            all_roots([1e-300, 1e300, 1.0])
+
+
+class TestLoopParity:
+    """Each sweep of ``all_roots`` is one array update; its roots must be
+    bitwise those of the per-root loop it replaced."""
+
+    def test_random_polynomials(self):
+        cases = random_polynomials(2000, seed=19)
+        assert len({c.size for c, _ in cases}) == 6
+        for coeffs, reference in cases:
+            assert bitwise_equal(all_roots(coeffs), reference), coeffs
+
+    @pytest.mark.parametrize("converter", ["line_params", "line_params_measured",
+                                           "load_params", "fast_params"])
+    @pytest.mark.parametrize("step", [-0.5, 0.5])
+    def test_corrected_load_denominators(self, request, converter, step):
+        p = request.getfixturevalue(converter)
+        den = load_tf_corrected(p, step * p.r_0).den
+        assert bitwise_equal(all_roots(den), loop_roots(den))
 
 
 class TestPairConjugates:
