@@ -4,6 +4,9 @@ overshoot-mitigation paths over the component space.
 ``closed_form`` is the one place that solves an (event, model) pair in
 closed form, once, for its metrics, its pre-event level and its post-event
 response; ``closed_form_metrics``, ``compare_models`` and the CLI all use it.
+``compare_models`` samples no oracle grid: its averaged rows are exact
+two-pole forms, like the closed forms, and its switched row is the switched
+oracle's cycle means.
 ``_cold_start`` is the one place that evaluates a cold start for sweeps and
 descents: the TFM and the EBM steady value as array expressions, every
 other EBM and FR metric through ``closed_form``.
@@ -32,7 +35,7 @@ from .circuit import (
     _FIELD_TESTS,
     _check_fields,
 )
-from .oracle import simulate_averaged, simulate_switched
+from .oracle import averaged_step_form, switched_cycle_means
 from .steady import steady_output
 
 #: measured reference scalars (steady V, peak V) for the two bench scenarios
@@ -164,15 +167,25 @@ def _second_order_tf(tf: tfm_line.SecondOrderTF, base: float, k: float) -> Close
     return ClosedForm(m, base, lambda t: base + tfm_line.line_step_response(tf, k, t))
 
 
+def _check_input_step(p: ConverterParams, event: StepEvent) -> None:
+    """Refuse an input step that does not end at the design's input voltage:
+    every model and oracle must solve a step to the same ``p.v_i``."""
+    if event.kind is StepKind.INPUT_VOLTAGE and event.value_after != p.v_i:
+        raise ValueError(f"an input step must end at the design's input voltage: "
+                         f"value_after {event.value_after!r} V is not v_i {p.v_i!r} V")
+
+
 def closed_form(p: ConverterParams, event: StepEvent, model: str) -> ClosedForm:
     """Solve ``event`` on ``p`` once with the closed-form ``model`` ("ebm",
     "tfm" or "fr"): its metrics, pre-event level and post-event response.
 
-    An input step starts from the steady output at the pre-step input
-    (FR's ideal ratio for FR, zero for a cold start), a load step from the
-    steady output at the pre-step load.  FR has no load-step transient: it
-    stays flat at Vi/(1-D) and is flagged "no-transient".
+    An input step ends at ``p.v_i`` (any other step is refused) and starts
+    from the steady output at the pre-step input (FR's ideal ratio for FR,
+    zero for a cold start), a load step from the steady output at the
+    pre-step load.  FR has no load-step transient: it stays flat at
+    Vi/(1-D) and is flagged "no-transient".
     """
+    _check_input_step(p, event)
     if model == "ebm":
         if event.kind is StepKind.INPUT_VOLTAGE:
             form = ebm.startup_form(p, v_before=event.value_before)
@@ -234,13 +247,33 @@ def simulation_setup(
     """(params, initial state, events) of an oracle run of ``event`` on ``p``:
     an event starts steady at the pre-event input or load, a cold input
     step (no input before it) from rest, and no event from
-    ``initial_without_event``."""
+    ``initial_without_event``.  An input step must end at ``p.v_i``."""
     if event is None:
         return p, initial_without_event, []
+    _check_input_step(p, event)
     if event.kind is StepKind.INPUT_VOLTAGE:
         initial = "steady" if event.value_before else "zero"
         return replace(p, v_i=event.value_before), initial, [event]
     return replace(p, r_0=event.value_before), "steady", [event]
+
+
+def _averaged_row(p: ConverterParams, event: StepEvent, include_parasitics: bool,
+                  initial_state: str) -> ClosedForm:
+    """An averaged row of ``compare_models``: the averaged circuit's exact
+    two-pole form (``oracle.averaged_step_form``) from the oracle start
+    ``p``, ``initial_state``.  Its metrics mean what a sampled run's would:
+    v_steady the settled value, and v_max the largest value after the
+    event, which is the form's first maximum, or its value just after the
+    event, at t_p = 0, where that is larger: the output falls from it, as
+    on a load resistance decrease.  A flat form keeps its "no-peak" flag
+    and no t_p."""
+    before, form = averaged_step_form(p, event, include_parasitics, initial_state)
+    m = ebm.ebm_metrics(form)
+    flat = m.flags == ("no-peak",)  # how ebm_metrics marks a form with no transient
+    if not flat and form.v0 > m.v_max:
+        m = ResponseMetrics(m.v_steady, form.v0, 0.0,
+                            tuple(flag for flag in m.flags if flag != "no-peak"))
+    return ClosedForm(m, before, partial(ebm.ebm_response, form))
 
 
 def compare_models(
@@ -253,43 +286,38 @@ def compare_models(
     """One row per model: closed forms, both averaged oracles and the
     switched oracle, each with metrics and errors against the reference.
 
-    The oracles sample every ``p.period / steps_per_cycle``; the switched
-    row is their cycle averages, one per cycle at its midpoint.  Every row
-    has one sampler, its output at given times: a closed form evaluated
-    exactly, an oracle interpolated linearly between its samples.  Each
-    row's rmse calls it on the reference's own grid: the oracle reference's
-    samples, or a closed-form reference sampled on the fine grid, the only
-    time a closed form is.  ``reference`` is a row name or "aer" to score
-    against the embedded measured scalars (no waveform, so no rmse in that
-    mode).
+    Five rows are forms, solved and scored exactly: the three closed forms
+    and the two averaged rows, the averaged circuit's own two-pole form
+    (``_averaged_row``), all acting at the exact ``t_event``.  The switched
+    row is the oracle at cycle rate: its output mean over each whole cycle
+    of ``p.period``, at the cycle's midpoint, run at ``steps_per_cycle``
+    substeps per cycle without a grid of them (``switched_cycle_means``),
+    and interpolated linearly between the means.  Each row's rmse samples
+    it on the reference's own grid: the cycle midpoints of the switched
+    reference, or a form reference sampled every ``p.period /
+    steps_per_cycle``, the only grid a form is sampled on.  ``reference`` is
+    a row name or "aer" to score against the embedded measured scalars (no
+    waveform, so no rmse in that mode).  An input step must end at
+    ``p.v_i``.
     """
     if reference not in MODEL_ROWS + ("aer",):
         raise ValueError(f"reference must be one of {MODEL_ROWS + ('aer',)}, not {reference!r}")
+    sim_p, initial, events = simulation_setup(p, event)
     if t_end is None:
         t_end = default_comparison_t_end(p, event)
     dt = p.period / steps_per_cycle
+    cycles = switched_cycle_means(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
 
-    sim_p, initial, events = simulation_setup(p, event)
-    trace = simulate_switched(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
-
-    def sampled(metrics: ResponseMetrics, wave: Waveform) -> tuple:
-        """An oracle row; its sample times are made only when it is scored."""
-        return metrics, lambda t: np.interp(t, wave.times, wave.samples), lambda: wave
-
+    forms = {model: closed_form(p, event, model) for model in ("ebm", "tfm", "fr")}
+    forms["avg+par"] = _averaged_row(sim_p, event, True, initial)
+    forms["avg-par"] = _averaged_row(sim_p, event, False, initial)
     # model -> (metrics, its output at given times, its own waveform)
-    solved: dict[str, tuple] = {}
-    for model in ("ebm", "tfm", "fr"):
-        form = closed_form(p, event, model)
-        solved[model] = (form.metrics, partial(form.at, t_event=event.t_event),
-                         partial(form.waveform, event.t_event, dt, t_end))
-    for name, parasitics in (("avg+par", True), ("avg-par", False)):
-        wave = simulate_averaged(
-            sim_p, events, dt, t_end, include_parasitics=parasitics, initial_state=initial
-        )
-        solved[name] = sampled(extract_metrics(wave, event.t_event), wave)
-    cyc = trace.cycle_averaged()
-    switched = replace(extract_metrics(cyc, event.t_event), flags=trace.flags)
-    solved["switched"] = sampled(switched, cyc)
+    solved = {model: (form.metrics, partial(form.at, t_event=event.t_event),
+                      partial(form.waveform, event.t_event, dt, t_end))
+              for model, form in forms.items()}
+    cyc = cycles.waveform
+    switched = replace(extract_metrics(cyc, event.t_event), flags=cycles.flags)
+    solved["switched"] = (switched, lambda t: np.interp(t, cyc.times, cyc.samples), lambda: cyc)
 
     if reference == "aer":
         ref_steady, ref_peak = (

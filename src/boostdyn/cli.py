@@ -8,7 +8,8 @@ read it:
 - ``converter`` (every command): the ten ``ConverterParams`` fields.
 - ``event`` (predict, compare; simulate and audit if present): ``kind``
   ("input_voltage" or "load_resistance"), ``value_before``,
-  ``value_after`` and optionally ``t_event``.
+  ``value_after`` and optionally ``t_event``.  An input step ends at
+  ``converter.v_i`` and a load step starts at ``converter.r_0``.
 - ``solver`` (simulate, compare, audit, predict ``--waveform``):
   optionally ``t_end``, else each command picks its own horizon, and
   ``steps_per_cycle`` (default 200), the one sampling knob: every waveform
@@ -159,9 +160,10 @@ def parse_converter(cfg: dict) -> ConverterParams:
 
 
 def parse_event(cfg: dict, p: ConverterParams) -> StepEvent:
+    """The event block, whose load step must start at converter.r_0.  The
+    library refuses an input step that does not end at converter.v_i, in
+    every command that solves or simulates it (exit 2)."""
     event = StepEvent(**_block(cfg, "event"))
-    if event.kind is StepKind.INPUT_VOLTAGE and event.value_after != p.v_i:
-        raise ConfigError("converter.v_i must equal event.value_after for input steps")
     if event.kind is StepKind.LOAD_RESISTANCE and event.value_before != p.r_0:
         raise ConfigError("converter.r_0 must equal event.value_before for load steps")
     return event

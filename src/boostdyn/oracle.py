@@ -19,6 +19,16 @@ the starts of a run of cycles, and one product with a cycle table of the
 exact maps to each sample fills them all.  Discontinuous conduction and
 cycles that an event splits are stepped stretch by stretch.  All grids are
 fixed, so repeated runs produce identical waveforms.
+
+Two outputs build no grid; ``analysis.compare_models`` scores with them.
+``switched_cycle_means`` runs the switched simulator's own cycle loop but
+keeps only the output mean of each whole cycle: in continuous conduction a
+cycle's mean is one product w @ (i_L, v_C, 1) with its start, and only the
+cycles that clamp or that an event splits are stepped, one cycle's samples
+at a time.  ``averaged_step_form`` is the averaged circuit's output across
+an event as an exact two-pole form, which ``ebm`` solves and samples.
+``simulate_switched`` and ``simulate_averaged`` keep their grids for the
+waveforms they return and for the energy audit.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import ebm
 from .circuit import (
     ConverterParams,
     ModelDomainError,
@@ -243,6 +254,48 @@ def simulate_averaged(
     return Waveform(t0=0.0, dt=dt, samples=out)
 
 
+def averaged_step_form(
+    p: ConverterParams,
+    event: StepEvent,
+    include_parasitics: bool = True,
+    initial_state="zero",
+) -> tuple[float, ebm.SecondOrderForm]:
+    """The averaged circuit's output across ``event``, in closed form: its
+    level before the event, and after it the two-pole form whose time 0 is
+    the event, which ``ebm.ebm_response`` and ``ebm.ebm_metrics`` solve.
+
+    The circuit stands at the start that ``initial_state`` sets on ``p``
+    until the event: at rest, or at the fixed point of the averaged modes.
+    After it x' = A x + u, so by Cayley-Hamilton its output y = c x obeys
+
+        y'' - tr(A) y' + det(A) y = det(A) y_inf,   y_inf = -c A^-1 u,
+
+    from y(0) = c x0 and y'(0) = c (A x0 + u) (Middlebrook and Cuk), which is
+    what ``simulate_averaged`` samples from the event's sample on.  Where
+    the diode blocks at rest, the output stays at 0 and so does the form.
+    """
+    if not include_parasitics:
+        p = replace(p, r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
+    x0 = _state_grid(p, initial_state, 0)[:2, 0]
+    threshold = (1.0 - p.d) * p.v_d
+    if initial_state == "zero" and p.v_i > threshold and event.t_event > 0.0:
+        raise ValueError("the averaged circuit moves before the event from rest at this input")
+    before = float(_averaged_mode(p, p.v_i, p.r_0).out @ x0)
+    if event.kind is StepKind.INPUT_VOLTAGE:
+        v_i, r_0 = event.value_after, p.r_0
+    else:
+        v_i, r_0 = p.v_i, event.value_after
+    mode = _averaged_mode(p, v_i, r_0)
+    (a, b), (c, d), (u0, u1) = *mode.a.tolist(), mode.u.tolist()
+    # the forcing is det(A) c x_inf, with x_inf by Cramer's rule as in _state_grid
+    co = ebm.OdeCoefficients(m2=1.0, m1=-(a + d), m0=a * d - b * c,
+                             forcing=float(mode.out @ (b * u1 - d * u0, c * u0 - a * u1)))
+    if x0[0] <= 0.0 and v_i <= threshold:  # x0 is rest, and the form has nothing to move it
+        return before, ebm.to_standard_form(replace(co, forcing=0.0), 0.0, 0.0)
+    return before, ebm.to_standard_form(co, float(mode.out @ x0),
+                                        float(mode.out @ (mode.a @ x0 + mode.u)))
+
+
 @dataclass(frozen=True)
 class SwitchedTrace:
     """Full per-substep record of a switched simulation.
@@ -273,6 +326,146 @@ class SwitchedTrace:
         return Waveform(t0=0.5 * spc * self.dt, dt=spc * self.dt, samples=means)
 
 
+class CycleMeans(NamedTuple):
+    """The output means of a switched run's whole cycles, one per cycle at
+    its midpoint, and the run's flags."""
+
+    waveform: Waveform
+    flags: tuple[str, ...]
+
+
+def _output(i_l, v_c, on_phase, r_0, r_c: float, out=None) -> np.ndarray:
+    """The output voltage R0/(R0 + r_c) (v_C + r_c i_L) of switched samples:
+    the diode current i_L reaches the output node only off phase."""
+    out = np.multiply(np.where(on_phase, 0.0, i_l), r_c, out=out)
+    out += v_c
+    out *= r_0
+    out /= r_0 + r_c
+    return out
+
+
+def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
+                     t_end: float, initial_state, fine: bool):
+    """The cycle loop of ``simulate_switched``: (the state grid, dcm) with
+    ``fine``, else (the output mean of each whole cycle, dcm).
+
+    Both run the same cycles.  Without ``fine``, a CCM batch advances only
+    its cycle starts, whose means are one product w @ (i_L, v_C, 1) each,
+    and reads its off-phase currents for a dip below zero from the i_L row
+    of the cycle table alone; the cycle that dips, and every cycle stepped
+    stretch by stretch, is filled into one cycle's columns and averaged.
+    """
+    if not isinstance(spc, numbers.Integral) or spc < 50:
+        raise ValueError(f"steps_per_cycle must be an integer >= 50, not {spc!r}")
+    period = p.period
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, not {t_end!r}")
+    if t_end < 20.0 * period:
+        raise ValueError("t_end must cover at least 20 switching periods")
+
+    dt = period / spc
+    n = int(round(t_end / dt))
+    on_steps = int(round(p.d * spc))
+    on_phase = np.arange(spc) < on_steps
+    # the whole grid, or the columns of the cycle in hand and the load at each
+    x = _state_grid(p, initial_state, n if fine else spc)
+    r_0s = np.empty(spc + 1)
+    means: list[float] = []
+    # the ladder of the on (0), off (1) or idle (2) mode, built at its first use
+    rungs = functools.cache(lambda v_i, r_0, mode: _ladder(_modes(p, v_i, r_0)[mode], dt, spc))
+    cycles: dict[tuple[float, float], tuple[np.ndarray, list, np.ndarray]] = {}
+    dcm = False
+    batch = n // spc
+
+    def columns(c0: int) -> np.ndarray:
+        """The columns of the cycle that starts at sample c0 and its end."""
+        return x[:, c0 : c0 + spc + 1] if fine else x
+
+    def close_cycle() -> None:
+        """Average the cycle in hand and start the next from its end."""
+        means.append(float(_output(x[0, :spc], x[1, :spc], on_phase, r_0s[:spc], p.r_c).mean()))
+        x[:, 0] = x[:, spc]
+
+    for a, b, v_i, r_0 in _segments(p, events, dt, n):
+        if (v_i, r_0) not in cycles:
+            table = _cycle_table([rungs(v_i, r_0, 0), rungs(v_i, r_0, 1)], on_steps, spc)
+            one_cycle = np.vstack([table[:, :, -1], (0.0, 0.0, 1.0)])
+            # samples 0..spc-1 of the unit start columns, so w @ (i_L, v_C, 1) is a cycle's mean
+            unit = np.concatenate([np.eye(3)[:2, :, None], table[:, :, :-1]], axis=2)
+            w = _output(unit[0], unit[1], on_phase, r_0, p.r_c).mean(axis=1)
+            cycles[v_i, r_0] = table, _doublings(one_cycle, n // spc), w
+        table, cycle_rungs, w = cycles[v_i, r_0]
+        k = r_0 / (r_0 + p.r_c)
+        j = a
+        while j < b:
+            c0 = j - j % spc
+            if not fine:
+                r_0s[j - c0 :] = r_0
+            cyc = columns(c0)
+            whole = min(batch, (b - j) // spc) if j == c0 and cyc[0, 0] >= 0.0 else 0
+            if whole:
+                starts = np.repeat(cyc[:, :1], whole, axis=1)
+                _advance(starts, cycle_rungs)
+                if fine:
+                    fill = x[:2, j + 1 : j + 1 + whole * spc].reshape(2, whole, spc)
+                    np.matmul(starts.T, table, out=fill)
+                    below = fill[0, :, on_steps:] < 0.0
+                else:
+                    below = starts.T @ table[0, :, on_steps:] < 0.0
+                first = int(below.any(axis=1).argmax())
+                if not below[first].any():
+                    if not fine:
+                        means.extend((w @ starts).tolist())
+                        x[:2, 0] = table[:, :, -1] @ starts[:, -1]
+                    j += whole * spc
+                    batch *= 2
+                    continue
+                c0 = j + first * spc
+                cyc = columns(c0)
+                if not fine:
+                    means.extend((w @ starts[:, :first]).tolist())
+                    x[:, 0] = starts[:, first]
+                    x[:2, 1:] = starts[:, first] @ table
+                j = c0 + on_steps  # its on phase stands
+                if cyc[0, on_steps] > 0.0:  # and its off mode up to the first substep below zero
+                    j += int(below[first].argmax()) + 1
+                    cyc[0, j - c0], dcm = 0.0, True
+                batch = 1
+                if j == c0 + spc:  # the clamp is the next cycle's start
+                    if not fine:
+                        close_cycle()
+                    c0 = j
+                    cyc = columns(c0)
+            cycle_end = min(c0 + spc, b) - c0
+            # what is left of this cycle's on phase, then of its off phase
+            for i, end, on in ((j - c0, min(on_steps, cycle_end), True),
+                               (max(j - c0, on_steps), cycle_end, False)):
+                while i < end:
+                    i_l, v_c = cyc[0, i], cyc[1, i]
+                    idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
+                    seg = cyc[:, i : end + 1]
+                    _advance(seg, rungs(v_i, r_0, 2 if idle else 0 if on else 1))
+                    if idle:
+                        stop = k * seg[1, 1:] <= v_i - p.v_d
+                    elif on and i_l >= 0.0:
+                        break  # the on mode only charges the inductor
+                    else:
+                        stop = seg[0, 1:] < 0.0
+                    m = int(stop.argmax())
+                    if not stop[m]:
+                        break
+                    i += m + 1
+                    if not idle:
+                        cyc[0, i] = 0.0
+                        dcm = dcm or not on
+            j = c0 + cycle_end
+            if not fine and cycle_end == spc:
+                close_cycle()
+    if fine:
+        return x, dcm
+    return np.array(means), dcm
+
+
 def simulate_switched(
     p: ConverterParams,
     events: Sequence[StepEvent],
@@ -292,91 +485,45 @@ def simulate_switched(
     and flags the trace "dcm", and the idle mode runs until the output falls
     to v_i - v_d.  After a clamp the batch restarts at one cycle and doubles.
     """
-    if not isinstance(steps_per_cycle, numbers.Integral) or steps_per_cycle < 50:
-        raise ValueError(f"steps_per_cycle must be an integer >= 50, not {steps_per_cycle!r}")
-    period = p.period
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, not {t_end!r}")
-    if t_end < 20.0 * period:
-        raise ValueError("t_end must cover at least 20 switching periods")
-
-    spc = steps_per_cycle
-    dt = period / spc
-    n = int(round(t_end / dt))
-    on_steps = int(round(p.d * spc))
-    x = _state_grid(p, initial_state, n)
-    v_i_applied = np.empty(n + 1)
-    r_0_applied = np.empty(n + 1)
-    # the ladder of the on (0), off (1) or idle (2) mode, built at its first use
-    rungs = functools.cache(lambda v_i, r_0, mode: _ladder(_modes(p, v_i, r_0)[mode], dt, spc))
-    cycles: dict[tuple[float, float], tuple[np.ndarray, list]] = {}
-    dcm = False
-    batch = n // spc
-
-    for a, b, v_i, r_0 in _segments(p, events, dt, n):
-        v_i_applied[a : b + 1] = v_i
-        r_0_applied[a : b + 1] = r_0
-        if (v_i, r_0) not in cycles:
-            table = _cycle_table([rungs(v_i, r_0, 0), rungs(v_i, r_0, 1)], on_steps, spc)
-            one_cycle = np.vstack([table[:, :, -1], (0.0, 0.0, 1.0)])
-            cycles[v_i, r_0] = table, _doublings(one_cycle, n // spc)
-        table, cycle_rungs = cycles[v_i, r_0]
-        k = r_0 / (r_0 + p.r_c)
-        j = a
-        while j < b:
-            whole = min(batch, (b - j) // spc) if j % spc == 0 and x[0, j] >= 0.0 else 0
-            if whole:
-                starts = np.repeat(x[:, j, None], whole, axis=1)
-                _advance(starts, cycle_rungs)
-                fill = x[:2, j + 1 : j + 1 + whole * spc].reshape(2, whole, spc)
-                np.matmul(starts.T, table, out=fill)
-                below = fill[0, :, on_steps:] < 0.0
-                first = int(below.any(axis=1).argmax())
-                if not below[first].any():
-                    j += whole * spc
-                    batch *= 2
-                    continue
-                j += first * spc + on_steps  # its on phase stands
-                if x[0, j] > 0.0:  # and its off mode up to the first substep below zero
-                    j += int(below[first].argmax()) + 1
-                    x[0, j], dcm = 0.0, True
-                batch = 1
-            off = j - j % spc + on_steps
-            cycle_end = min(off - on_steps + spc, b)
-            # what is left of this cycle's on phase, then of its off phase
-            for i, end, on in ((j, min(off, cycle_end), True), (max(j, off), cycle_end, False)):
-                while i < end:
-                    i_l, v_c = x[0, i], x[1, i]
-                    idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
-                    seg = x[:, i : end + 1]
-                    _advance(seg, rungs(v_i, r_0, 2 if idle else 0 if on else 1))
-                    if idle:
-                        stop = k * seg[1, 1:] <= v_i - p.v_d
-                    elif on and i_l >= 0.0:
-                        break  # the on mode only charges the inductor
-                    else:
-                        stop = seg[0, 1:] < 0.0
-                    m = int(stop.argmax())
-                    if not stop[m]:
-                        break
-                    i += m + 1
-                    if not idle:
-                        x[0, i] = 0.0
-                        dcm = dcm or not on
-            j = cycle_end
+    x, dcm = _switched_cycles(p, events, steps_per_cycle, t_end, initial_state, fine=True)
     i_l, v_c, v_out = x
     if not (np.all(np.isfinite(i_l)) and np.all(np.isfinite(v_c))):
         raise NonFiniteState("switched simulation diverged")
 
-    # the diode current i_L reaches the output node only in the off phase;
+    spc = steps_per_cycle
+    dt = p.period / spc
+    n = v_out.size - 1
+    v_i_applied = np.empty(n + 1)
+    r_0_applied = np.empty(n + 1)
+    for a, b, v_i, r_0 in _segments(p, events, dt, n):
+        v_i_applied[a : b + 1] = v_i
+        r_0_applied[a : b + 1] = r_0
     # v_out takes over the ones row of the state grid
-    on_phase = np.resize(np.arange(spc) < on_steps, n + 1)
-    np.multiply(np.where(on_phase, 0.0, i_l), p.r_c, out=v_out)
-    v_out += v_c
-    v_out *= r_0_applied
-    v_out /= r_0_applied + p.r_c
+    on_phase = np.resize(np.arange(spc) < int(round(p.d * spc)), n + 1)
+    _output(i_l, v_c, on_phase, r_0_applied, p.r_c, out=v_out)
     return SwitchedTrace(dt, spc, i_l, v_c, v_out, on_phase, v_i_applied, r_0_applied,
                          flags=("dcm",) if dcm else ())
+
+
+def switched_cycle_means(
+    p: ConverterParams,
+    events: Sequence[StepEvent],
+    steps_per_cycle: int,
+    t_end: float,
+    initial_state="zero",
+) -> CycleMeans:
+    """The run of ``simulate_switched`` reduced to what
+    ``SwitchedTrace.cycle_averaged`` reads of it, its output mean over each
+    whole cycle, with its flags, but without its grid: continuous conduction
+    advances only the cycle starts, and only the cycles that clamp or that
+    an event splits are stepped, one cycle's samples at a time.
+    """
+    means, dcm = _switched_cycles(p, events, steps_per_cycle, t_end, initial_state, fine=False)
+    if not np.all(np.isfinite(means)):
+        raise NonFiniteState("switched simulation diverged")
+    dt = p.period / steps_per_cycle
+    wave = Waveform(t0=0.5 * steps_per_cycle * dt, dt=steps_per_cycle * dt, samples=means)
+    return CycleMeans(wave, ("dcm",) if dcm else ())
 
 
 def _trapezoid(y: np.ndarray, t: np.ndarray) -> float:

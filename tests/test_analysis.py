@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from boostdyn import (ConverterParams, StepEvent, StepKind, Waveform, analysis, circuit,
-                      ebm, refmodel, simulate_switched, tfm_line, tfm_load)
+                      ebm, oracle, refmodel, simulate_averaged, simulate_switched, tfm_line,
+                      tfm_load)
 from boostdyn.circuit import DischargedSourceWarning, ModelDomainError, ParameterError
 from boostdyn.steady import steady_output
 
@@ -17,8 +18,17 @@ OVERDAMPED = ConverterParams(
 )
 
 
+#: the small converter of the benchmark's validate workload
+QUICK = ConverterParams(v_i=3.0, l=20e-6, r_l=0.1, c=4e-6, r_c=0.05, r_m=0.08,
+                        v_d=0.3, r_0=8.0, d=0.5, f_sw=1e5)
+
+
 def cold_start(p):
     return StepEvent(StepKind.INPUT_VOLTAGE, 0.0, p.v_i)
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("this must not run")
 
 
 class TestCompareModels:
@@ -35,8 +45,8 @@ class TestCompareModels:
         def fail(*args, **kwargs):
             raise AssertionError("an oracle ran")
 
-        monkeypatch.setattr(analysis, "simulate_switched", fail)
-        monkeypatch.setattr(analysis, "simulate_averaged", fail)
+        monkeypatch.setattr(analysis, "switched_cycle_means", fail)
+        monkeypatch.setattr(analysis, "averaged_step_form", fail)
         with pytest.raises(ValueError) as err:
             analysis.compare_models(fast_params, cold_start(fast_params), reference="bogus")
         assert "'bogus'" in str(err.value)
@@ -159,6 +169,140 @@ def parabola_with_plateau(t_vertex=1.234, dt=0.1, n=60, t0=0.0):
     """5 - (t - t_vertex)^2, floored at 4: settled at 4 from t_vertex + 1 on."""
     t = t0 + dt * np.arange(n)
     return Waveform(t0, dt, np.maximum(5.0 - (t - t_vertex) ** 2, 4.0))
+
+
+class TestCompareWithoutGrids:
+    @pytest.mark.parametrize("reference", ["switched", "aer"])
+    def test_no_oracle_grid_is_built(self, fast_params, monkeypatch, reference):
+        for name in ("simulate_switched", "simulate_averaged"):
+            monkeypatch.setattr(oracle, name, fail)
+            monkeypatch.setattr(analysis, name, fail, raising=False)
+        for event in (cold_start(fast_params),
+                      StepEvent(StepKind.LOAD_RESISTANCE, 20.0, 60.0, 2e-4)):
+            table = analysis.compare_models(fast_params, event, reference=reference)
+            assert tuple(r.model for r in table.rows) == analysis.MODEL_ROWS
+
+    def test_switched_row_is_the_traces_cycle_averages(self, fast_params):
+        # a load release that clamps, at an instant that is no sample
+        p = fast_params
+        event = StepEvent(StepKind.LOAD_RESISTANCE, 20.0, 60.0, 20.37 * p.period)
+        table = analysis.compare_models(p, event)
+        sim_p, initial, events = analysis.simulation_setup(p, event)
+        t_end = analysis.default_comparison_t_end(p, event)
+        trace = simulate_switched(sim_p, events, 200, t_end, initial_state=initial)
+        want = analysis.extract_metrics(trace.cycle_averaged(), event.t_event)
+        row = table.row("switched")
+        assert row.flags == trace.flags == ("dcm",)
+        assert row.v_steady == pytest.approx(want.v_steady, rel=1e-12, abs=0)
+        assert row.v_max == pytest.approx(want.v_max, rel=1e-12, abs=0)
+        assert row.t_p == pytest.approx(want.t_p, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("event", [
+        StepEvent(StepKind.INPUT_VOLTAGE, 0.0, 5.0),
+        StepEvent(StepKind.INPUT_VOLTAGE, 3.0, 5.0),
+        StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 40.0),
+        StepEvent(StepKind.LOAD_RESISTANCE, 20.0, 10.0),
+    ], ids=["cold", "warm", "load-release", "load-increase"])
+    def test_averaged_rows_are_what_their_sampled_runs_give(self, load_params, event):
+        # the settled value, and the largest value after the event: on the
+        # load increase the output with r_c falls from its value just after
+        # the event, while the parasitic-free one rings higher
+        p = load_params
+        table = analysis.compare_models(p, event)
+        sim_p, initial, events = analysis.simulation_setup(p, event)
+        t_end = analysis.default_comparison_t_end(p, event)
+        dt = p.period / 200
+        for name, parasitics in (("avg+par", True), ("avg-par", False)):
+            wave = simulate_averaged(sim_p, events, dt, t_end, parasitics, initial)
+            want = analysis.extract_metrics(wave, event.t_event)
+            row = table.row(name)
+            assert row.v_steady == pytest.approx(want.v_steady, rel=1e-5, abs=0)
+            assert row.v_max == pytest.approx(want.v_max, rel=1e-8, abs=0)
+            assert abs(row.t_p - want.t_p) <= 0.5 * dt
+            if event.value_after < event.value_before:
+                assert (row.t_p == 0.0) == parasitics
+                assert (row.v_max == wave.samples[0]) == parasitics
+
+    def test_averaged_rows_act_at_the_exact_event(self, fast_params):
+        # as the closed forms do; the averaged rows rest at their level until then
+        p = fast_params
+        event = StepEvent(StepKind.INPUT_VOLTAGE, 2.0, 3.0, 10.37 * p.period)
+        late, early = (analysis.compare_models(p, e, reference="aer")
+                       for e in (event, dataclasses.replace(event, t_event=0.0)))
+        for name in ("avg+par", "avg-par"):
+            assert late.row(name) == early.row(name)
+
+    @pytest.mark.parametrize("event", [StepEvent(StepKind.INPUT_VOLTAGE, 3.0, 3.0),
+                                       StepEvent(StepKind.LOAD_RESISTANCE, 8.0, 8.0)],
+                             ids=["input", "load"])
+    def test_zero_height_event_leaves_the_averaged_rows_flat(self, event):
+        table = analysis.compare_models(QUICK, event)
+        for name in ("avg+par", "avg-par"):
+            row = table.row(name)
+            assert row.t_p is None
+            assert row.v_max == row.v_steady
+            assert row.flags == table.row("ebm").flags == ("no-peak",)
+
+    def test_averaged_reference_scores_every_other_row(self, fast_params):
+        table = analysis.compare_models(fast_params, cold_start(fast_params), reference="avg+par")
+        ref = table.row("avg+par")
+        assert ref.rmse_v is None and ref.steady_error_pct == ref.dynamic_error_pct == 0.0
+        others = [r.rmse_v for r in table.rows if r.model != "avg+par"]
+        assert all(math.isfinite(r) and r > 0.0 for r in others)
+
+
+class TestInputStepEndsAtTheDesign:
+    """An input step to another voltage than ``p.v_i`` is refused: EBM
+    would solve a step to ``p.v_i`` and every other row one to value_after."""
+
+    EVENT = StepEvent(StepKind.INPUT_VOLTAGE, 0.0, 5.0)
+
+    @pytest.mark.parametrize("model", ["ebm", "tfm", "fr"])
+    def test_every_model_refuses_it_before_solving(self, model, monkeypatch):
+        for module, name in ((ebm, "startup_form"), (tfm_line, "line_tf_coefficients"),
+                             (refmodel, "fr_tf")):
+            monkeypatch.setattr(module, name, fail)
+        with pytest.raises(ValueError, match="value_after 5.0 V is not v_i 3.0 V"):
+            analysis.closed_form(QUICK, self.EVENT, model)
+        with pytest.raises(ValueError, match="value_after 5.0 V is not v_i 3.0 V"):
+            analysis.closed_form_metrics(QUICK, self.EVENT, model)
+
+    def test_compare_refuses_it_before_any_solve_or_simulation(self, monkeypatch):
+        for name in ("switched_cycle_means", "averaged_step_form", "closed_form",
+                     "default_comparison_t_end"):
+            monkeypatch.setattr(analysis, name, fail)
+        for reference in ("switched", "aer"):
+            with pytest.raises(ValueError, match="value_after 5.0 V is not v_i 3.0 V"):
+                analysis.compare_models(QUICK, self.EVENT, reference=reference)
+
+    def test_oracle_setup_refuses_it(self):
+        with pytest.raises(ValueError, match="value_after 5.0 V is not v_i 3.0 V"):
+            analysis.simulation_setup(QUICK, self.EVENT)
+        # a load step needs no particular load before it
+        load = StepEvent(StepKind.LOAD_RESISTANCE, 4.0, 8.0)
+        assert analysis.simulation_setup(QUICK, load)[0].r_0 == 4.0
+
+
+class TestScenarioPredict:
+    @pytest.mark.parametrize("kind", ["line", "load"])
+    def test_each_design_is_its_own_tfm_solve(self, line_params, load_params, kind):
+        if kind == "line":
+            p, event = line_params, StepEvent(StepKind.INPUT_VOLTAGE, 2.0, line_params.v_i)
+        else:
+            p, event = load_params, StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 20.0)
+        after = dataclasses.replace(p, c=1.5 * p.c, l=0.8 * p.l)
+        got = analysis.scenario_predict(p, after, event)
+        assert got.before == analysis.closed_form_metrics(p, event, "tfm")
+        assert got.after == analysis.closed_form_metrics(after, event, "tfm")
+        assert got.after != got.before
+        assert got.v_max_reduction == got.before.v_max - got.after.v_max
+
+    def test_after_design_outside_the_correction_domain_is_refused(self):
+        after = dataclasses.replace(QUICK, l=2e-3)
+        assert tfm_load.correction_factor(after) <= 0.0
+        event = StepEvent(StepKind.LOAD_RESISTANCE, 8.0, 16.0)
+        with pytest.raises(tfm_load.CorrectionOutOfDomain):
+            analysis.scenario_predict(QUICK, after, event)
 
 
 class TestExtractMetrics:

@@ -164,6 +164,16 @@ class TestCompare:
         assert out.read_text() == "\n".join(want) + "\n"
 
 
+    def test_averaged_reference_leaves_only_its_own_rmse_empty(self, fast_params, tmp_path):
+        config = write_config(tmp_path, fast_params, event=COLD)
+        out = tmp_path / "table.csv"
+        assert cli.main(["compare", "--reference", "avg+par", "--config", config,
+                         "--out", str(out)]) == 0
+        rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()[1:]}
+        assert tuple(rows) == analysis.MODEL_ROWS
+        assert [model for model, row in rows.items() if row[6] == ""] == ["avg+par"]
+
+
 class TestParser:
     def test_one_parser_and_no_default_leaks_between_calls(self, fast_params, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()
@@ -339,6 +349,22 @@ class TestErrorContract:
         payload = json.loads(lines[0])
         assert (payload["error"], payload["exit_code"]) == ("CorrectionOutOfDomain", 3)
         assert set(payload) == {"error", "message", "exit_code"}
+
+    @pytest.mark.parametrize("command", ["predict", "compare", "simulate", "audit"])
+    def test_input_step_to_another_voltage_exits_two(self, fast_params, tmp_path, capsys,
+                                                     command):
+        # fast_params has v_i = 3 V; the library refuses, naming both values
+        event = {**COLD, "value_after": 5.0}
+        config = write_config(tmp_path, fast_params, event=event,
+                              solver={"t_end": 30 * fast_params.period})
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "exit_code": 2,
+            "message": "an input step must end at the design's input voltage: "
+                       "value_after 5.0 V is not v_i 3.0 V"}
 
     def test_internal_error_exits_one_with_one_json_line(self, line_params, tmp_path, capsys,
                                                         monkeypatch):

@@ -1,24 +1,43 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from boostdyn import StepEvent, StepKind, ebm, oracle
+from boostdyn import ConverterParams, StepEvent, StepKind, analysis, ebm, oracle
 from boostdyn.oracle import (
     NonFiniteState,
     WindowOutOfRange,
     _advance,
     _ladder,
     _modes,
+    averaged_step_form,
     energy_audit,
     integrate_second_order,
     simulate_averaged,
     simulate_switched,
+    switched_cycle_means,
 )
 from boostdyn.refmodel import fr_step_response
 
 LOSSLESS = dict(r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
+
+#: the small converter of the benchmark's validate workload
+QUICK = ConverterParams(v_i=3.0, l=20e-6, r_l=0.1, c=4e-6, r_c=0.05, r_m=0.08,
+                        v_d=0.3, r_0=8.0, d=0.5, f_sw=1e5)
+
+
+def events_of(p, late_periods=7.37):
+    """A cold start at t = 0, then a warm input step, a load release, a load
+    increase and a 15-fold load release, all at ``late_periods`` periods, an
+    instant that is no sample at 51 substeps per cycle."""
+    late = late_periods * p.period
+    return [StepEvent(StepKind.INPUT_VOLTAGE, 0.0, p.v_i),
+            StepEvent(StepKind.INPUT_VOLTAGE, 0.6 * p.v_i, p.v_i, late),
+            StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2.0 * p.r_0, late),
+            StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 0.5 * p.r_0, late),
+            StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 15.0 * p.r_0, late)]
 
 
 def one_substep(mode, h, i0, v0):
@@ -487,3 +506,87 @@ class TestInputChecks:
         for initial in ("hot", (0.0, 5.0)):
             with pytest.raises(ValueError, match="initial_state"):
                 simulate_averaged(p, [], p.period / 200, p.period, initial_state=initial)
+
+
+class TestCycleMeans:
+    @pytest.mark.parametrize("spc", [50, 51, 200])
+    def test_means_are_the_traces_cycle_averages(self, line_params, line_params_measured,
+                                                 load_params, fast_params, spc):
+        # 60.5 periods: the last cycle is not whole, and is stepped all the same
+        clamped = 0
+        for p in (line_params, line_params_measured, load_params, fast_params, QUICK):
+            for event in events_of(p):
+                sim_p, initial, events = analysis.simulation_setup(p, event)
+                t_end = 60.5 * p.period
+                trace = simulate_switched(sim_p, events, spc, t_end, initial_state=initial)
+                want = trace.cycle_averaged()
+                got = switched_cycle_means(sim_p, events, spc, t_end, initial_state=initial)
+                assert got.flags == trace.flags
+                assert (got.waveform.t0, got.waveform.dt) == (want.t0, want.dt)
+                assert got.waveform.samples.shape == want.samples.shape == (60,)
+                scale = np.max(np.abs(want.samples))
+                assert np.max(np.abs(got.waveform.samples - want.samples)) <= 1e-12 * scale
+                clamped += trace.flags == ("dcm",)
+        assert clamped >= 5
+
+    def test_a_ccm_run_fills_no_grid(self, load_params):
+        p = load_params
+        t_end = 1200 * p.period
+        tracemalloc.start()
+        try:
+            means = switched_cycle_means(p, [], 200, t_end, initial_state="steady")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert means.flags == () and len(means.waveform) == 1200
+        grid_bytes = 3 * (1200 * 200 + 1) * 8
+        assert peak < grid_bytes / 4
+
+    def test_refuses_what_simulate_switched_refuses(self, fast_params):
+        p = fast_params
+        with pytest.raises(ValueError, match="steps_per_cycle"):
+            switched_cycle_means(p, [], 200.0, 40 * p.period)
+        with pytest.raises(ValueError, match="20 switching periods"):
+            switched_cycle_means(p, [], 200, 19 * p.period)
+        with pytest.raises(ValueError, match="initial_state"):
+            switched_cycle_means(p, [], 200, 40 * p.period, initial_state="hot")
+
+
+def form_samples(p, event, include_parasitics, initial, dt, n):
+    """The averaged form on the grid 0..n, acting from the event's sample."""
+    before, form = averaged_step_form(p, event, include_parasitics, initial)
+    k = np.arange(n + 1)
+    e = int(round(event.t_event / dt))
+    return np.where(k < e, before, ebm.ebm_response(form, np.clip(k - e, 0, None) * dt))
+
+
+class TestAveragedStepForm:
+    @pytest.mark.parametrize("include_parasitics", [True, False])
+    def test_form_is_the_stepped_run(self, line_params, line_params_measured, load_params,
+                                     fast_params, include_parasitics):
+        # the events fall on samples here: 7 periods of 200 substeps
+        for p in (line_params, line_params_measured, load_params, fast_params, QUICK):
+            for event in events_of(p, late_periods=7.0):
+                sim_p, initial, events = analysis.simulation_setup(p, event)
+                dt = p.period / 200
+                wave = simulate_averaged(sim_p, events, dt, 150 * p.period, include_parasitics,
+                                         initial)
+                got = form_samples(sim_p, event, include_parasitics, initial, dt, len(wave) - 1)
+                scale = np.max(np.abs(wave.samples))
+                assert np.max(np.abs(got - wave.samples)) <= 1e-12 * scale
+
+    def test_blocked_diode_rests(self, line_params):
+        # 0.2 V < (1 - D) v_d = 0.255 V: the averaged circuit stays at rest
+        event = StepEvent(StepKind.INPUT_VOLTAGE, 0.0, 0.2, 1e-3)
+        before, form = averaged_step_form(replace(line_params, v_i=0.0), event)
+        assert before == form.v0 == form.dv0 == form.v_inf == 0.0
+        assert np.all(ebm.ebm_response(form, np.linspace(0.0, 0.01, 11)) == 0.0)
+        assert ebm.ebm_metrics(form).flags == ("no-peak",)
+
+    def test_a_circuit_that_moves_before_the_event_is_refused(self, fast_params):
+        event = StepEvent(StepKind.LOAD_RESISTANCE, 20.0, 40.0, 1e-4)
+        with pytest.raises(ValueError, match="moves before the event"):
+            averaged_step_form(fast_params, event, initial_state="zero")
+        # from its fixed point, or with the event at t = 0, it does not
+        averaged_step_form(fast_params, event, initial_state="steady")
+        averaged_step_form(fast_params, replace(event, t_event=0.0), initial_state="zero")
