@@ -305,8 +305,8 @@ def compare_models(
     sim_p, initial, events = simulation_setup(p, event)
     if t_end is None:
         t_end = default_comparison_t_end(p, event)
-    dt = p.period / steps_per_cycle
     cycles = switched_cycle_means(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
+    dt = p.period / steps_per_cycle
 
     forms = {model: closed_form(p, event, model) for model in ("ebm", "tfm", "fr")}
     forms["avg+par"] = _averaged_row(sim_p, event, True, initial)

@@ -9,26 +9,26 @@ modes (switch on, diode conducting, and idle with i_L = 0 in discontinuous
 conduction), both in x = (i_L, v_C), and a second-order ODE in its
 companion state.  A substep is the augmented matrix exponential (Van Loan,
 IEEE TAC 1978), and a run of substeps is filled by doubling its powers.
-The averaged simulator steps the duty-weighted average of the switched
-modes (Middlebrook and Cuk, PESC 1976).
 
-The switched simulator runs at cycle rate in continuous conduction, where a
+The switched circuit runs at cycle rate in continuous conduction, where a
 cycle is one affine map x -> phi x + gamma (the sampled-data model of
 Verghese, Elbuluk and Kassakian, IEEE TPEL 1986): doubling that map gives
-the starts of a run of cycles, and one product with a cycle table of the
-exact maps to each sample fills them all.  Discontinuous conduction and
-cycles that an event splits are stepped stretch by stretch.  All grids are
-fixed, so repeated runs produce identical waveforms.
+the starts of a run of cycles, and the i_L row of a cycle table of the
+exact maps to each sample shows whether any of their off phases dips below
+zero.  The cycle that dips, and a cycle that an event splits, are stepped
+stretch by stretch in one cycle's columns.  That one trajectory gives both
+switched outputs.  ``switched_cycle_means``, which
+``analysis.compare_models`` scores with, keeps the output mean of each
+whole cycle, in continuous conduction one product w @ (i_L, v_C, 1) with
+its start.  ``simulate_switched`` also writes the grid that it returns and
+that the energy audit reads: a batch's samples are its starts times the
+table, and a stepped cycle's samples are its columns.  All grids are fixed,
+so repeated runs produce identical waveforms.
 
-Two outputs build no grid; ``analysis.compare_models`` scores with them.
-``switched_cycle_means`` runs the switched simulator's own cycle loop but
-keeps only the output mean of each whole cycle: in continuous conduction a
-cycle's mean is one product w @ (i_L, v_C, 1) with its start, and only the
-cycles that clamp or that an event splits are stepped, one cycle's samples
-at a time.  ``averaged_step_form`` is the averaged circuit's output across
-an event as an exact two-pole form, which ``ebm`` solves and samples.
-``simulate_switched`` and ``simulate_averaged`` keep their grids for the
-waveforms they return and for the energy audit.
+The averaged circuit is the duty-weighted average of the switched modes
+(Middlebrook and Cuk, PESC 1976).  Its output across an event is an exact
+two-pole form, ``averaged_step_form``, which ``ebm`` solves and samples and
+which ``simulate_averaged`` steps on a grid.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
     if initial_state == "zero":
         x[:2, 0] = 0.0
     elif initial_state == "steady" and p.v_i <= (1.0 - p.d) * p.v_d:
-        x[:2, 0] = 0.0  # the diode blocks: the averaged circuit rests, as simulate_averaged does
+        x[:2, 0] = 0.0  # the diode blocks: the averaged circuit rests, as averaged_step_form does
     elif initial_state == "steady":
         # a x = -u by Cramer's rule, which leaves LAPACK unloaded
         mode = _averaged_mode(p, p.v_i, p.r_0)
@@ -224,34 +224,28 @@ def simulate_averaged(
     include_parasitics: bool = True,
     initial_state="zero",
 ) -> Waveform:
-    """Exact fixed-step solution of the two-state averaged model.
+    """Exact fixed-step solution of the two-state averaged model across at
+    most one event: ``averaged_step_form`` stepped by
+    ``integrate_second_order`` from the event's nearest sample, at its level
+    before the event until then.  Without an event the circuit moves from
+    its start at t = 0.
 
     Its matrices are the duty-weighted average of the switched modes, so
     r_l, r_m, r_c and v_d all enter the dynamics, and the output is
     R0/(R0 + r_c) * (v_C + (1 - D) r_c i_L); parasitics off zeroes all four.
-    Events swap the input voltage or the load at the nearest sample boundary.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, not {dt!r}")
-    if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, not {t_end!r}")
-    if not include_parasitics:
-        p = replace(p, r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
-
-    n = int(round(t_end / dt))
-    x = _state_grid(p, initial_state, n)
-    out = np.empty(n + 1)
-    for a, b, v_i, r_0 in _segments(p, events, dt, n):
-        mode = _averaged_mode(p, v_i, r_0)
-        if x[0, a] <= 0.0 and v_i <= (1.0 - p.d) * p.v_d:
-            # the averaged inductor voltage is <= 0 at i_L = 0: the diode blocks
-            mode, x[0, a] = _modes(p, v_i, r_0)[2], 0.0
-        seg = x[:, a : b + 1]
-        _advance(seg, _ladder(mode, dt, b - a))
-        np.matmul(mode.out, seg[:2], out=out[a : b + 1])
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState("averaged simulation diverged")
-    return Waveform(t0=0.0, dt=dt, samples=out)
+    if len(events) > 1:
+        raise ValueError("simulate_averaged takes at most one event")
+    event = events[0] if events else StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, p.r_0)
+    before, form = averaged_step_form(p, event, include_parasitics, initial_state)
+    w2 = form.omega0 * form.omega0
+    wave = integrate_second_order(1.0, 2.0 * form.xi * form.omega0, w2, w2 * form.v_inf,
+                                  form.v0, form.dv0, dt, t_end)
+    e = min(int(round(event.t_event / dt)), len(wave))
+    if e == 0:
+        return wave
+    samples = np.concatenate([np.full(e, before), wave.samples[: len(wave) - e]])
+    return Waveform(t0=0.0, dt=dt, samples=samples)
 
 
 def averaged_step_form(
@@ -271,7 +265,7 @@ def averaged_step_form(
         y'' - tr(A) y' + det(A) y = det(A) y_inf,   y_inf = -c A^-1 u,
 
     from y(0) = c x0 and y'(0) = c (A x0 + u) (Middlebrook and Cuk), which is
-    what ``simulate_averaged`` samples from the event's sample on.  Where
+    what ``simulate_averaged`` steps from the event's sample on.  Where
     the diode blocks at rest, the output stays at 0 and so does the form.
     """
     if not include_parasitics:
@@ -345,15 +339,15 @@ def _output(i_l, v_c, on_phase, r_0, r_c: float, out=None) -> np.ndarray:
 
 
 def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
-                     t_end: float, initial_state, fine: bool):
-    """The cycle loop of ``simulate_switched``: (the state grid, dcm) with
-    ``fine``, else (the output mean of each whole cycle, dcm).
+                     t_end: float, initial_state, keep_grid: bool = False):
+    """The cycle loop of both switched outputs: (the output mean of each
+    whole cycle, the grid of (i_L, v_C, 1) samples if ``keep_grid`` else None, dcm).
 
-    Both run the same cycles.  Without ``fine``, a CCM batch advances only
-    its cycle starts, whose means are one product w @ (i_L, v_C, 1) each,
-    and reads its off-phase currents for a dip below zero from the i_L row
-    of the cycle table alone; the cycle that dips, and every cycle stepped
-    stretch by stretch, is filled into one cycle's columns and averaged.
+    A CCM batch advances only its cycle starts, whose means are one product
+    w @ (i_L, v_C, 1) each, and reads its off-phase currents for a dip below
+    zero from the i_L row of the cycle table alone; the cycle that dips, and
+    every cycle stepped stretch by stretch, is filled into one cycle's
+    columns and averaged.  A kept grid is written from the same run.
     """
     if not isinstance(spc, numbers.Integral) or spc < 50:
         raise ValueError(f"steps_per_cycle must be an integer >= 50, not {spc!r}")
@@ -367,9 +361,10 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
     n = int(round(t_end / dt))
     on_steps = int(round(p.d * spc))
     on_phase = np.arange(spc) < on_steps
-    # the whole grid, or the columns of the cycle in hand and the load at each
-    x = _state_grid(p, initial_state, n if fine else spc)
+    # the columns of the cycle in hand and its end, and the load at each
+    x = _state_grid(p, initial_state, spc)
     r_0s = np.empty(spc + 1)
+    grid = _state_grid(p, initial_state, n) if keep_grid else None
     means: list[float] = []
     # the ladder of the on (0), off (1) or idle (2) mode, built at its first use
     rungs = functools.cache(lambda v_i, r_0, mode: _ladder(_modes(p, v_i, r_0)[mode], dt, spc))
@@ -377,13 +372,11 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
     dcm = False
     batch = n // spc
 
-    def columns(c0: int) -> np.ndarray:
-        """The columns of the cycle that starts at sample c0 and its end."""
-        return x[:, c0 : c0 + spc + 1] if fine else x
-
-    def close_cycle() -> None:
-        """Average the cycle in hand and start the next from its end."""
+    def close_cycle(c0: int) -> None:
+        """Average and write the cycle in hand, from sample c0, and start the next at its end."""
         means.append(float(_output(x[0, :spc], x[1, :spc], on_phase, r_0s[:spc], p.r_c).mean()))
+        if grid is not None:
+            grid[:2, c0 + 1 : c0 + spc + 1] = x[:2, 1:]
         x[:, 0] = x[:, spc]
 
     for a, b, v_i, r_0 in _segments(p, events, dt, n):
@@ -399,51 +392,42 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
         j = a
         while j < b:
             c0 = j - j % spc
-            if not fine:
-                r_0s[j - c0 :] = r_0
-            cyc = columns(c0)
-            whole = min(batch, (b - j) // spc) if j == c0 and cyc[0, 0] >= 0.0 else 0
+            r_0s[j - c0 :] = r_0
+            whole = min(batch, (b - j) // spc) if j == c0 and x[0, 0] >= 0.0 else 0
             if whole:
-                starts = np.repeat(cyc[:, :1], whole, axis=1)
+                starts = np.repeat(x[:, :1], whole, axis=1)
                 _advance(starts, cycle_rungs)
-                if fine:
-                    fill = x[:2, j + 1 : j + 1 + whole * spc].reshape(2, whole, spc)
-                    np.matmul(starts.T, table, out=fill)
-                    below = fill[0, :, on_steps:] < 0.0
-                else:
-                    below = starts.T @ table[0, :, on_steps:] < 0.0
-                first = int(below.any(axis=1).argmax())
-                if not below[first].any():
-                    if not fine:
-                        means.extend((w @ starts).tolist())
-                        x[:2, 0] = table[:, :, -1] @ starts[:, -1]
+                below = starts.T @ table[0, :, on_steps:] < 0.0
+                dips = below.any(axis=1)
+                first = int(dips.argmax()) if dips.any() else whole
+                means.extend((w @ starts[:, :first]).tolist())
+                if grid is not None:
+                    np.matmul(starts[:, :first].T, table,
+                              out=grid[:2, j + 1 : j + 1 + first * spc].reshape(2, first, spc))
+                if first == whole:
+                    x[:2, 0] = table[:, :, -1] @ starts[:, -1]
                     j += whole * spc
                     batch *= 2
                     continue
                 c0 = j + first * spc
-                cyc = columns(c0)
-                if not fine:
-                    means.extend((w @ starts[:, :first]).tolist())
-                    x[:, 0] = starts[:, first]
-                    x[:2, 1:] = starts[:, first] @ table
+                x[:, 0] = starts[:, first]
+                x[:2, 1:] = starts[:, first] @ table
                 j = c0 + on_steps  # its on phase stands
-                if cyc[0, on_steps] > 0.0:  # and its off mode up to the first substep below zero
+                if x[0, on_steps] > 0.0:  # and its off mode up to the first substep below zero
                     j += int(below[first].argmax()) + 1
-                    cyc[0, j - c0], dcm = 0.0, True
+                    x[0, j - c0], dcm = 0.0, True
                 batch = 1
                 if j == c0 + spc:  # the clamp is the next cycle's start
-                    if not fine:
-                        close_cycle()
+                    close_cycle(c0)
                     c0 = j
-                    cyc = columns(c0)
             cycle_end = min(c0 + spc, b) - c0
             # what is left of this cycle's on phase, then of its off phase
             for i, end, on in ((j - c0, min(on_steps, cycle_end), True),
                                (max(j - c0, on_steps), cycle_end, False)):
                 while i < end:
-                    i_l, v_c = cyc[0, i], cyc[1, i]
+                    i_l, v_c = x[0, i], x[1, i]
                     idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
-                    seg = cyc[:, i : end + 1]
+                    seg = x[:, i : end + 1]
                     _advance(seg, rungs(v_i, r_0, 2 if idle else 0 if on else 1))
                     if idle:
                         stop = k * seg[1, 1:] <= v_i - p.v_d
@@ -456,14 +440,14 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
                         break
                     i += m + 1
                     if not idle:
-                        cyc[0, i] = 0.0
+                        x[0, i] = 0.0
                         dcm = dcm or not on
             j = c0 + cycle_end
-            if not fine and cycle_end == spc:
-                close_cycle()
-    if fine:
-        return x, dcm
-    return np.array(means), dcm
+            if cycle_end == spc:
+                close_cycle(c0)
+    if grid is not None:  # the last cycle, where it is not whole
+        grid[:2, n - n % spc + 1 :] = x[:2, 1 : n % spc + 1]
+    return np.array(means), grid, dcm
 
 
 def simulate_switched(
@@ -476,21 +460,21 @@ def simulate_switched(
     """Cycle-by-cycle simulation of the switched circuit, exact within each mode.
 
     Each cycle runs round(D * steps_per_cycle) substeps in the on mode and
-    the rest in the off mode.  Whole cycles that start with i_L >= 0 are
-    filled in batches: doubling the one-cycle map of the cycle table
-    (``_cycle_table``, built once per input and load) gives their starts,
-    and one product with the table all their samples.  From an off phase
-    that dips below i_L = 0, and in a cycle that an event splits, stretches
-    are stepped one by one: an off substep that ends below zero is clamped
-    and flags the trace "dcm", and the idle mode runs until the output falls
-    to v_i - v_d.  After a clamp the batch restarts at one cycle and doubles.
+    the rest in the off mode.  Whole cycles that start with i_L >= 0 run in
+    batches: doubling the one-cycle map of the cycle table (``_cycle_table``,
+    built once per input and load) gives their starts, and their samples are
+    the starts times the table.  From an off phase that dips below i_L = 0,
+    and in a cycle that an event splits, stretches are stepped one by one in
+    that cycle's columns: an off substep that ends below zero is clamped and
+    flags the trace "dcm", and the idle mode runs until the output falls to
+    v_i - v_d.  After a clamp the batch restarts at one cycle and doubles.
     """
-    x, dcm = _switched_cycles(p, events, steps_per_cycle, t_end, initial_state, fine=True)
-    i_l, v_c, v_out = x
+    spc = steps_per_cycle
+    _, grid, dcm = _switched_cycles(p, events, spc, t_end, initial_state, keep_grid=True)
+    i_l, v_c, v_out = grid
     if not (np.all(np.isfinite(i_l)) and np.all(np.isfinite(v_c))):
         raise NonFiniteState("switched simulation diverged")
 
-    spc = steps_per_cycle
     dt = p.period / spc
     n = v_out.size - 1
     v_i_applied = np.empty(n + 1)
@@ -514,11 +498,10 @@ def switched_cycle_means(
 ) -> CycleMeans:
     """The run of ``simulate_switched`` reduced to what
     ``SwitchedTrace.cycle_averaged`` reads of it, its output mean over each
-    whole cycle, with its flags, but without its grid: continuous conduction
-    advances only the cycle starts, and only the cycles that clamp or that
-    an event splits are stepped, one cycle's samples at a time.
+    whole cycle, with its flags: the same trajectory without its grid, whose
+    continuous conduction advances only the cycle starts.
     """
-    means, dcm = _switched_cycles(p, events, steps_per_cycle, t_end, initial_state, fine=False)
+    means, _, dcm = _switched_cycles(p, events, steps_per_cycle, t_end, initial_state)
     if not np.all(np.isfinite(means)):
         raise NonFiniteState("switched simulation diverged")
     dt = p.period / steps_per_cycle

@@ -53,8 +53,8 @@ class TestCompareModels:
         assert str(analysis.MODEL_ROWS + ("aer",)) in str(err.value)
 
     def test_non_integer_steps_per_cycle_is_refused(self, fast_params):
-        for steps in (200.5, 200.0):
-            with pytest.raises(ValueError, match="steps_per_cycle"):
+        for steps in (200.5, 200.0, 0):
+            with pytest.raises(ValueError, match="steps_per_cycle must be an integer >= 50"):
                 analysis.compare_models(fast_params, cold_start(fast_params),
                                         steps_per_cycle=steps)
 
