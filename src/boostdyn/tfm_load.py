@@ -5,13 +5,17 @@ to the output-voltage deviation, scaled by the pre-step output-side
 current.  An empirical bracket, fit near the reference operating region,
 rescales the denominator dynamics; the DC coefficient pair is untouched so
 the settled value is correction-independent.  Inversion is classical
-partial fractions over the four denominator roots plus the DC offset; the
+partial fractions over the four denominator roots plus the DC offset, with
+each residue's polynomials evaluated by Horner in Python complex.  The
 first extremum of the inverted response comes from the same slope scan and
-bisection as the energy model's peak (``circuit._first_crossing``).
+bisection as the energy model's peak (``circuit._first_crossing``): the
+scan evaluates the mode sum on an array of times in numpy, and each
+bisection step at one scalar time as a plain Python sum over the modes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -80,6 +84,11 @@ class ExpModeSum:
 
     Conjugate mode pairs enter as stored; ``stable`` is False when any root
     has a non-negative real part (response kept for diagnosis).
+
+    ``deviation`` and ``deviation_slope`` take a scalar time (a Python or
+    numpy number) and return a Python float, summing the modes with
+    ``cmath`` in the order the array path adds them; any other ``t`` goes
+    through numpy and returns an array of its shape.
     """
 
     offset: float
@@ -87,18 +96,30 @@ class ExpModeSum:
     stable: bool = True
 
     def deviation(self, t):
+        if np.isscalar(t):
+            t = float(t)
+            total = complex(self.offset)
+            for residue, root in self.modes:
+                total += residue * cmath.exp(root * t)
+            return total.real
         t_arr = np.asarray(t, dtype=float)
         out = np.full(t_arr.shape, self.offset, dtype=complex)
         for residue, root in self.modes:
             out = out + residue * np.exp(root * t_arr)
-        return float(out.real) if np.isscalar(t) else out.real
+        return out.real
 
     def deviation_slope(self, t):
+        if np.isscalar(t):
+            t = float(t)
+            total = 0j
+            for residue, root in self.modes:
+                total += residue * root * cmath.exp(root * t)
+            return total.real
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape, dtype=complex)
         for residue, root in self.modes:
             out = out + residue * root * np.exp(root * t_arr)
-        return float(out.real) if np.isscalar(t) else out.real
+        return out.real
 
 
 def _raw_coefficients(p: ConverterParams, delta_r0: float):
@@ -191,15 +212,15 @@ def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
 
     Roots come from the simultaneous-iteration solver with conjugate pairs
     enforced by averaging; residues are num(p)/(p * den'(p)) scaled by the
-    drive, and the offset is the final-value term gain * dc_gain.
+    drive, with num and den' evaluated by Horner over the coefficient
+    tuples in Python complex, and the offset is the final-value term
+    gain * dc_gain.
 
     Raises :class:`RepeatedRoots` when two roots are closer than
     ``CONFLUENT_ROOT_TOL`` relative to the larger of the pair, or three are
     pairwise closer than ``TRIPLE_ROOT_TOL``.
     """
-    den = np.asarray(tf.den, dtype=float)
-    num = np.asarray(tf.num, dtype=float)
-    roots = pair_conjugates(all_roots(den))
+    roots = pair_conjugates(all_roots(np.asarray(tf.den, dtype=float)))
     mag = np.abs(roots)
     rel = np.abs(np.subtract.outer(roots, roots)) / np.maximum.outer(mag, mag)
     for group in (*combinations(range(roots.size), 2), *combinations(range(roots.size), 3)):
@@ -208,13 +229,19 @@ def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
             listed = " and ".join(f"{roots[k]:.6g}" for k in group)
             raise RepeatedRoots(f"denominator roots {listed} coincide")
     scale = tf.gain_i2 * tf.delta_r0
-    dden = np.polyder(den)
-    modes = tuple(
-        (scale * complex(np.polyval(num, r)) / (r * complex(np.polyval(dden, r))), complex(r))
-        for r in roots
-    )
+    dden = [(4 - k) * c for k, c in enumerate(tf.den[:-1])]
+    modes = tuple((scale * _horner(tf.num, r) / (r * _horner(dden, r)), r)
+                  for r in roots.tolist())
     stable = bool(np.all(roots.real < 0))
     return ExpModeSum(offset=scale * tf.dc_gain, modes=modes, stable=stable)
+
+
+def _horner(coeffs, x: complex) -> complex:
+    """The polynomial with highest-degree-first ``coeffs`` at ``x``."""
+    y = 0j
+    for c in coeffs:
+        y = y * x + c
+    return y
 
 
 def load_modes(p: ConverterParams, delta_r0: float) -> ExpModeSum:

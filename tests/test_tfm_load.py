@@ -9,6 +9,7 @@ from boostdyn.oracle import simulate_averaged
 from boostdyn.steady import steady_inductor_current, steady_output
 from boostdyn.tfm_load import (
     CorrectionOutOfDomain,
+    ExpModeSum,
     InvalidPostLoad,
     QuarticTF,
     RepeatedRoots,
@@ -18,7 +19,10 @@ from boostdyn.tfm_load import (
     load_modes,
     load_tf_corrected,
     load_tf_raw,
+    mode_sum_metrics,
 )
+
+CONVERTERS = ["line_params", "line_params_measured", "load_params", "fast_params"]
 
 
 def product_tf(p: ConverterParams, dr0: float, s: complex) -> complex:
@@ -45,6 +49,16 @@ def partial_fraction_terms(ms, scale: float) -> list[np.ndarray]:
         others = [r for r in roots if r != root]
         terms.append((res / scale) * np.polymul([1.0, 0.0], np.poly(others)))
     return terms
+
+
+def polyval_residues(tf: QuarticTF, roots) -> list[complex]:
+    """num(p)/(p * den'(p)) scaled by the drive, with both polynomials
+    evaluated by ``np.polyval`` at numpy complex roots: the reference for
+    the Horner residues."""
+    dden = np.polyder(np.asarray(tf.den, dtype=float))
+    scale = tf.gain_i2 * tf.delta_r0
+    return [scale * complex(np.polyval(tf.num, r)) / (r * complex(np.polyval(dden, r)))
+            for r in np.asarray(roots, dtype=complex)]
 
 
 def load_response(p: ConverterParams, delta_r0: float, t):
@@ -266,3 +280,52 @@ class TestLoadMetrics:
         tfm = load_metrics(load_params, 140.0)
         ebm = ebm_metrics(load_step_form(load_params, 10.0, 150.0))
         assert abs(tfm.v_max - ebm.v_max) / ebm.v_max < 0.05
+
+
+class TestScalarPaths:
+    """A scalar time is summed over the modes in Python and an array in
+    numpy; the residues are formed by Horner.  Each must give the numpy
+    form's numbers."""
+
+    @pytest.mark.parametrize("converter", CONVERTERS)
+    @pytest.mark.parametrize("step", [-0.5, 0.5])
+    def test_scalar_times_match_the_array_path(self, request, converter, step):
+        p = request.getfixturevalue(converter)
+        ms = load_modes(p, step * p.r_0)
+        m = mode_sum_metrics(steady_output(p), ms)
+        assert m.t_p is not None
+        decay = min(abs(root.real) for _, root in ms.modes if root.real != 0)
+        times = [*np.linspace(0.0, 14.0 / decay, 49).tolist(), m.t_p]
+        value_scale = sum(abs(res) for res, _ in ms.modes)
+        slope_scale = sum(abs(res * root) for res, root in ms.modes)
+        for t in times:
+            one = np.array([t])
+            assert abs(ms.deviation(t) - ms.deviation(one)[0]) <= 1e-14 * value_scale, t
+            assert (abs(ms.deviation_slope(t) - ms.deviation_slope(one)[0])
+                    <= 1e-14 * slope_scale), t
+
+    @pytest.mark.parametrize("converter", CONVERTERS)
+    @pytest.mark.parametrize("step", [-0.5, 0.5])
+    def test_residues_match_the_polyval_form(self, request, converter, step):
+        p = request.getfixturevalue(converter)
+        tf = load_tf_corrected(p, step * p.r_0)
+        ms = invert_quartic_tf(tf)
+        reference = polyval_residues(tf, [root for _, root in ms.modes])
+        for (res, _), ref in zip(ms.modes, reference, strict=True):
+            assert abs(res - ref) <= 1e-14 * abs(ref), (res, ref)
+
+    def test_scalar_times_return_python_floats(self, load_params):
+        ms = load_modes(load_params, 140.0)
+        for t in (0.0, np.float64(0.0), 0):
+            assert type(ms.deviation(t)) is float
+            assert type(ms.deviation_slope(t)) is float
+        assert ms.deviation(np.float64(1e-3)) == ms.deviation(1e-3)
+        assert ms.deviation_slope(np.float64(1e-3)) == ms.deviation_slope(1e-3)
+
+    def test_no_modes_return_the_offset(self, load_params):
+        assert load_modes(load_params, 0.0).modes == ()
+        flat = ExpModeSum(offset=1.25, modes=())
+        for t in (1e-3, np.float64(1e-3), 1):
+            assert flat.deviation(t) == 1.25 and type(flat.deviation(t)) is float
+            assert flat.deviation_slope(t) == 0.0 and type(flat.deviation_slope(t)) is float
+        assert np.array_equal(flat.deviation(np.array([0.0, 1e-3])), [1.25, 1.25])
