@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import ebm, refmodel, tfm_line, tfm_load
+from . import ebm, tfm_line, tfm_load
 from .circuit import (
     FIELD_RULES,
     ConverterParams,
@@ -34,6 +34,7 @@ from .circuit import (
     Waveform,
     _FIELD_TESTS,
     _check_fields,
+    parasitic_free,
 )
 from .oracle import averaged_step_form, switched_cycle_means
 from .steady import steady_output
@@ -180,10 +181,10 @@ def closed_form(p: ConverterParams, event: StepEvent, model: str) -> ClosedForm:
     "tfm" or "fr"): its metrics, pre-event level and post-event response.
 
     An input step ends at ``p.v_i`` (any other step is refused) and starts
-    from the steady output at the pre-step input (FR's ideal ratio for FR,
-    zero for a cold start), a load step from the steady output at the
-    pre-step load.  FR has no load-step transient: it stays flat at
-    Vi/(1-D) and is flagged "no-transient".
+    from the steady output at the pre-step input (zero for a cold start),
+    a load step from the steady output at the pre-step load.  FR solves an
+    input step as the TFM of ``parasitic_free(p)``, and has no load-step
+    transient: it stays flat at Vi/(1-D) and is flagged "no-transient".
     """
     _check_input_step(p, event)
     if model == "ebm":
@@ -195,13 +196,11 @@ def closed_form(p: ConverterParams, event: StepEvent, model: str) -> ClosedForm:
     if model not in ("tfm", "fr"):
         raise ValueError(f"model must be one of 'ebm', 'tfm' or 'fr', not {model!r}")
     if event.kind is StepKind.INPUT_VOLTAGE:
-        if model == "fr":
-            base = event.value_before / (1.0 - p.d)
-            return _second_order_tf(refmodel.fr_tf(p), base, event.delta)
-        tf = tfm_line.line_tf_coefficients(p)
+        q = parasitic_free(p) if model == "fr" else p
+        tf = tfm_line.line_tf_coefficients(q)
         base = 0.0
         if event.value_before > 0:
-            base = steady_output(replace(p, v_i=event.value_before))
+            base = steady_output(replace(q, v_i=event.value_before))
         return _second_order_tf(tf, base, event.delta)
     if model == "fr":
         level = p.v_i / (1.0 - p.d)
@@ -228,9 +227,8 @@ def default_comparison_t_end(p: ConverterParams, event: StepEvent) -> float:
     w0 (xi - sqrt(xi^2 - 1)) = w0^2 / (xi w0 + sqrt((xi w0)^2 - w0^2)).
     """
     r_post = event.value_after if event.kind is StepKind.LOAD_RESISTANCE else p.r_0
-    ideal = replace(p, r_l=0.0, r_c=0.0, r_m=0.0, v_d=0.0)
     rates = []
-    for q in (p, ideal):
+    for q in (p, parasitic_free(p)):
         co = ebm.ode_coefficients(q, r_0=r_post)
         rate, w0_sq = co.m1 / (2.0 * co.m2), co.m0 / co.m2
         if rate * rate >= w0_sq:
@@ -257,8 +255,7 @@ def simulation_setup(
     return replace(p, r_0=event.value_before), "steady", [event]
 
 
-def _averaged_row(p: ConverterParams, event: StepEvent, include_parasitics: bool,
-                  initial_state: str) -> ClosedForm:
+def _averaged_row(p: ConverterParams, event: StepEvent, initial_state: str) -> ClosedForm:
     """An averaged row of ``compare_models``: the averaged circuit's exact
     two-pole form (``oracle.averaged_step_form``) from the oracle start
     ``p``, ``initial_state``.  Its metrics mean what a sampled run's would:
@@ -267,7 +264,7 @@ def _averaged_row(p: ConverterParams, event: StepEvent, include_parasitics: bool
     event, at t_p = 0, where that is larger: the output falls from it, as
     on a load resistance decrease.  A flat form keeps its "no-peak" flag
     and no t_p."""
-    before, form = averaged_step_form(p, event, include_parasitics, initial_state)
+    before, form = averaged_step_form(p, event, initial_state)
     m = ebm.ebm_metrics(form)
     flat = m.flags == ("no-peak",)  # how ebm_metrics marks a form with no transient
     if not flat and form.v0 > m.v_max:
@@ -309,8 +306,8 @@ def compare_models(
     dt = p.period / steps_per_cycle
 
     forms = {model: closed_form(p, event, model) for model in ("ebm", "tfm", "fr")}
-    forms["avg+par"] = _averaged_row(sim_p, event, True, initial)
-    forms["avg-par"] = _averaged_row(sim_p, event, False, initial)
+    forms["avg+par"] = _averaged_row(sim_p, event, initial)
+    forms["avg-par"] = _averaged_row(parasitic_free(sim_p), event, initial)
     # model -> (metrics, its output at given times, its own waveform)
     solved = {model: (form.metrics, partial(form.at, t_event=event.t_event),
                       partial(form.waveform, event.t_event, dt, t_end))

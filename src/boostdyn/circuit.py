@@ -142,6 +142,13 @@ def validate_params(p: ConverterParams) -> ConverterParams:
     return p
 
 
+def parasitic_free(q) -> ConverterParams:
+    """The ideal converter: the record of the fields of ``q``, a record or
+    any object that carries them, with r_l, r_c, r_m and v_d set to 0."""
+    values = {f.name: getattr(q, f.name) for f in fields(ConverterParams)}
+    return ConverterParams(**{**values, "r_l": 0.0, "r_c": 0.0, "r_m": 0.0, "v_d": 0.0})
+
+
 class StepKind(Enum):
     INPUT_VOLTAGE = "input_voltage"
     LOAD_RESISTANCE = "load_resistance"

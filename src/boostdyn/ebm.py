@@ -7,8 +7,8 @@ The averaged output voltage obeys
 with m0 = (1-D)^2 + [(1-D)^2 RC + RL + D RM]/R0.  Casting into the standard
 damped-oscillator form gives the closed-form step response evaluated here.
 That form, ``SecondOrderForm``, is the one two-pole step response of the
-package: the line TFM and the FR baseline build it from their transfer
-functions (``tfm_line.step_form``) and evaluate it with ``ebm_response``.
+package: ``tfm_line.step_form`` builds it from the line TF, for FR that
+of the ideal converter, and ``ebm_response`` evaluates it.
 The response and its slope are each one expression in cosh(delta t) and
 sinh(delta t)/delta, delta^2 = (xi^2 - 1) w0^2, which ``_damped_pair``
 alone turns into the real functions of each damping regime.

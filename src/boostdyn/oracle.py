@@ -48,6 +48,7 @@ from .circuit import (
     StepEvent,
     StepKind,
     Waveform,
+    parasitic_free,
 )
 
 class NonFiniteState(ModelDomainError):
@@ -199,21 +200,17 @@ def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
 
 
 def _segments(p: ConverterParams, events: Sequence[StepEvent], dt: float, n: int):
-    """(a, b, v_i, r_0) for each stretch [a, b] of the grid 0..n between event
-    samples, with the input and load in force from sample a on.  An event
-    acts from its nearest sample, in the order given."""
-    at = sorted(((int(round(ev.t_event / dt)), ev) for ev in events), key=lambda e: e[0])
-    at = [(idx, ev) for idx, ev in at if idx <= n]
-    bounds = sorted({0, n, *(idx for idx, _ in at)})
-    v_i, r_0 = p.v_i, p.r_0
-    for a, b in zip(bounds, bounds[1:] or [0]):
-        while at and at[0][0] <= a:
-            ev = at.pop(0)[1]
-            if ev.kind is StepKind.INPUT_VOLTAGE:
-                v_i = ev.value_after
-            else:
-                r_0 = ev.value_after
-        yield a, b, v_i, r_0
+    """(a, b, v_i, r_0): the input and load in force on [a, b] of the grid
+    0..n, before and after the one event, if any, from its nearest sample < n."""
+    e = int(round(events[0].t_event / dt)) if events else n
+    if e > 0:
+        yield 0, min(e, n), p.v_i, p.r_0
+    if e < n:
+        ev = events[0]
+        if ev.kind is StepKind.INPUT_VOLTAGE:
+            yield e, n, ev.value_after, p.r_0
+        else:
+            yield e, n, p.v_i, ev.value_after
 
 
 def simulate_averaged(
@@ -232,12 +229,14 @@ def simulate_averaged(
 
     Its matrices are the duty-weighted average of the switched modes, so
     r_l, r_m, r_c and v_d all enter the dynamics, and the output is
-    R0/(R0 + r_c) * (v_C + (1 - D) r_c i_L); parasitics off zeroes all four.
+    R0/(R0 + r_c) * (v_C + (1 - D) r_c i_L); parasitics off: ``parasitic_free(p)``.
     """
     if len(events) > 1:
         raise ValueError("simulate_averaged takes at most one event")
     event = events[0] if events else StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, p.r_0)
-    before, form = averaged_step_form(p, event, include_parasitics, initial_state)
+    if not include_parasitics:
+        p = parasitic_free(p)
+    before, form = averaged_step_form(p, event, initial_state)
     w2 = form.omega0 * form.omega0
     wave = integrate_second_order(1.0, 2.0 * form.xi * form.omega0, w2, w2 * form.v_inf,
                                   form.v0, form.dv0, dt, t_end)
@@ -248,18 +247,15 @@ def simulate_averaged(
     return Waveform(t0=0.0, dt=dt, samples=samples)
 
 
-def averaged_step_form(
-    p: ConverterParams,
-    event: StepEvent,
-    include_parasitics: bool = True,
-    initial_state="zero",
-) -> tuple[float, ebm.SecondOrderForm]:
+def averaged_step_form(p: ConverterParams, event: StepEvent,
+                       initial_state="zero") -> tuple[float, ebm.SecondOrderForm]:
     """The averaged circuit's output across ``event``, in closed form: its
     level before the event, and after it the two-pole form whose time 0 is
     the event, which ``ebm.ebm_response`` and ``ebm.ebm_metrics`` solve.
 
-    The circuit stands at the start that ``initial_state`` sets on ``p``
-    until the event: at rest, or at the fixed point of the averaged modes.
+    The circuit of ``p`` (``parasitic_free(p)`` for the ideal one) stands at
+    the start that ``initial_state`` sets until the event: at rest, or at
+    the fixed point of the averaged modes.
     After it x' = A x + u, so by Cayley-Hamilton its output y = c x obeys
 
         y'' - tr(A) y' + det(A) y = det(A) y_inf,   y_inf = -c A^-1 u,
@@ -268,8 +264,6 @@ def averaged_step_form(
     what ``simulate_averaged`` steps from the event's sample on.  Where
     the diode blocks at rest, the output stays at 0 and so does the form.
     """
-    if not include_parasitics:
-        p = replace(p, r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
     x0 = _state_grid(p, initial_state, 0)[:2, 0]
     threshold = (1.0 - p.d) * p.v_d
     if initial_state == "zero" and p.v_i > threshold and event.t_event > 0.0:
@@ -351,6 +345,8 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
     """
     if not isinstance(spc, numbers.Integral) or spc < 50:
         raise ValueError(f"steps_per_cycle must be an integer >= 50, not {spc!r}")
+    if len(events) > 1:
+        raise ValueError("the switched oracle takes at most one event")
     period = p.period
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, not {t_end!r}")
@@ -457,7 +453,7 @@ def simulate_switched(
     t_end: float,
     initial_state="zero",
 ) -> SwitchedTrace:
-    """Cycle-by-cycle simulation of the switched circuit, exact within each mode.
+    """Cycle-by-cycle run of the switched circuit across at most one event.
 
     Each cycle runs round(D * steps_per_cycle) substeps in the on mode and
     the rest in the off mode.  Whole cycles that start with i_L >= 0 run in

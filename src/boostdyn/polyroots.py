@@ -5,22 +5,24 @@ starting points on a circle that encloses them all.  Each sweep is one
 array update: every root moves by its polynomial value over the product of
 its differences from the other roots, all taken from the previous sweep's
 roots (Jacobi-style, as in Kerner's original iteration).  It stops when the
-largest update is at most ``tol`` (1e-13 by default) times the larger of 1
-and the largest root magnitude, or after ``max_iter`` sweeps (200 by
-default).  ``pair_conjugates`` then makes the roots of a real polynomial
-come in exact conjugate pairs.
+largest update is at most ``TOL`` times the larger of 1 and the largest
+root magnitude, or after ``MAX_ITER`` sweeps.  ``pair_conjugates`` then
+makes the roots of a real polynomial come in exact conjugate pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+TOL = 1e-13
+MAX_ITER = 200
 
-def all_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
+
+def all_roots(coeffs) -> np.ndarray:
     """All complex roots of the polynomial with highest-degree-first ``coeffs``.
 
     Durand-Kerner iteration on the monic normalization, converged when the
-    largest update falls below ``tol`` relative to the root magnitudes.
+    largest update falls below ``TOL`` relative to the root magnitudes.
     Each sweep is one array update from the previous sweep's roots: the row
     products of the off-diagonal root differences, multiplied in the same
     order as a per-root loop, so the roots are bitwise that loop's.
@@ -49,7 +51,7 @@ def all_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
     roots = seed.astype(complex)
 
     off_diagonal = ~np.eye(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         vals = np.polyval(monic, roots)
         # row i holds roots[i] - roots[j] for j != i, in increasing j
         diffs = (roots[:, None] - roots[None, :])[off_diagonal].reshape(n, n - 1)
@@ -59,7 +61,7 @@ def all_roots(coeffs, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
         shift = np.max(np.abs(new - roots))
         scale = max(1.0, float(np.max(np.abs(new))))
         roots = new
-        if shift <= tol * scale:
+        if shift <= TOL * scale:
             break
     return roots
 

@@ -5,8 +5,9 @@ transfer function from input voltage to output voltage,
 
     G(s) = (d_num s + f_num) / (a s^2 + b s + c),
 
-whose DC gain f_num/c matches the corrected steady-state ratio.  A step
-response goes through the energy model's two-pole form
+whose DC gain f_num/c matches the corrected steady-state ratio; of the
+ideal converter (``circuit.parasitic_free``) it is the FR baseline's.  A
+step response goes through the energy model's two-pole form
 (``ebm.SecondOrderForm``, built by ``step_form``); the first peak time and
 peak voltage of an underdamped TF are evaluated in closed form.
 

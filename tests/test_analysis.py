@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boostdyn import (ConverterParams, StepEvent, StepKind, Waveform, analysis, circuit,
-                      ebm, oracle, refmodel, simulate_averaged, simulate_switched, tfm_line,
+                      ebm, oracle, simulate_averaged, simulate_switched, tfm_line,
                       tfm_load)
 from boostdyn.circuit import DischargedSourceWarning, ModelDomainError, ParameterError
 from boostdyn.steady import steady_output
@@ -259,8 +259,7 @@ class TestInputStepEndsAtTheDesign:
 
     @pytest.mark.parametrize("model", ["ebm", "tfm", "fr"])
     def test_every_model_refuses_it_before_solving(self, model, monkeypatch):
-        for module, name in ((ebm, "startup_form"), (tfm_line, "line_tf_coefficients"),
-                             (refmodel, "fr_tf")):
+        for module, name in ((ebm, "startup_form"), (tfm_line, "line_tf_coefficients")):
             monkeypatch.setattr(module, name, fail)
         with pytest.raises(ValueError, match="value_after 5.0 V is not v_i 3.0 V"):
             analysis.closed_form(QUICK, self.EVENT, model)
@@ -776,8 +775,7 @@ def unsolved(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a closed form was solved")
 
-    for module, name in ((tfm_line, "line_tf_coefficients"), (ebm, "startup_form"),
-                         (refmodel, "fr_tf")):
+    for module, name in ((tfm_line, "line_tf_coefficients"), (ebm, "startup_form")):
         monkeypatch.setattr(module, name, fail)
 
 

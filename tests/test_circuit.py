@@ -16,6 +16,7 @@ from boostdyn.circuit import (
     _check_fields,
     _first_crossing,
     field_violations,
+    parasitic_free,
     validate_params,
 )
 
@@ -104,6 +105,28 @@ class TestValidateParams:
 
     def test_period(self, line_params):
         assert line_params.period == pytest.approx(1e-4)
+
+
+class TestParasiticFree:
+    LOSSES = ("r_l", "r_c", "r_m", "v_d")
+
+    def test_zeroes_exactly_the_four_losses(self, line_params):
+        ideal = parasitic_free(line_params)
+        assert isinstance(ideal, ConverterParams)
+        for f in dataclasses.fields(ConverterParams):
+            want = 0.0 if f.name in self.LOSSES else getattr(line_params, f.name)
+            assert getattr(ideal, f.name) == want
+        assert ideal == dataclasses.replace(line_params, r_l=0.0, r_c=0.0, r_m=0.0, v_d=0.0)
+
+    def test_a_field_namespace_gives_the_same_record(self, line_params):
+        fields = SimpleNamespace(**dataclasses.asdict(line_params))
+        assert parasitic_free(fields) == parasitic_free(line_params)
+
+    def test_the_other_fields_are_checked(self, line_params):
+        fields = SimpleNamespace(**{**dataclasses.asdict(line_params), "d": 1.0, "r_l": -1.0})
+        with pytest.raises(ParameterError) as exc:
+            parasitic_free(fields)
+        assert exc.value.violations == [("DutyOutOfRange", "d")]
 
 
 class TestStepEvent:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from boostdyn import ConverterParams, StepEvent, StepKind, analysis, ebm, oracle
+from boostdyn.circuit import parasitic_free
 from boostdyn.oracle import (
     NonFiniteState,
     WindowOutOfRange,
@@ -489,6 +490,14 @@ class TestInputChecks:
             with pytest.raises(ValueError, match="initial_state"):
                 simulate_switched(p, [], 200, 40 * p.period, initial_state=initial)
 
+    def test_switched_refuses_a_second_event(self, fast_params):
+        p = fast_params
+        step = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2 * p.r_0, 20 * p.period)
+        back = StepEvent(StepKind.LOAD_RESISTANCE, 2 * p.r_0, p.r_0, 30 * p.period)
+        for run in (simulate_switched, switched_cycle_means):
+            with pytest.raises(ValueError, match="at most one event"):
+                run(p, [step, back], 200, 40 * p.period, initial_state="steady")
+
     def test_averaged_checks(self, fast_params):
         p = fast_params
         # exact steps need no stability budget: a coarse grid samples the fine run
@@ -615,7 +624,8 @@ def stepped_averaged(p, event, include_parasitics, initial, dt, n):
 
 def form_samples(p, event, include_parasitics, initial, dt, n):
     """The averaged form on the grid 0..n, acting from the event's sample."""
-    before, form = averaged_step_form(p, event, include_parasitics, initial)
+    before, form = averaged_step_form(p if include_parasitics else parasitic_free(p), event,
+                                      initial)
     k = np.arange(n + 1)
     e = int(round(event.t_event / dt))
     return np.where(k < e, before, ebm.ebm_response(form, np.clip(k - e, 0, None) * dt))
