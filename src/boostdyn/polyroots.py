@@ -6,8 +6,9 @@ array update: every root moves by its polynomial value over the product of
 its differences from the other roots, all taken from the previous sweep's
 roots (Jacobi-style, as in Kerner's original iteration).  It stops when the
 largest update is at most ``TOL`` times the larger of 1 and the largest
-root magnitude, or after ``MAX_ITER`` sweeps.  ``pair_conjugates`` then
-makes the roots of a real polynomial come in exact conjugate pairs.
+root magnitude, or after ``MAX_ITER`` sweeps.  The roots are returned as
+the last sweep leaves them: a real polynomial's conjugate pairs agree only
+to that tolerance, and a real root may keep a tiny imaginary part.
 """
 
 from __future__ import annotations
@@ -65,34 +66,3 @@ def all_roots(coeffs) -> np.ndarray:
             break
     return roots
 
-
-def pair_conjugates(roots: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Force numerically-conjugate root pairs to be exact conjugates.
-
-    Roots whose imaginary part is negligible are snapped onto the real
-    axis; the rest are matched plus-to-minus and replaced by the average
-    of the pair, keeping the time-domain signal exactly real.
-    """
-    out = np.array(roots, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(out))))
-    real_mask = np.abs(out.imag) <= tol * scale
-    out[real_mask] = out[real_mask].real
-
-    pos = [i for i in range(out.size) if not real_mask[i] and out[i].imag > 0]
-    neg = [i for i in range(out.size) if not real_mask[i] and out[i].imag < 0]
-    used = set()
-    for i in pos:
-        best, best_d = None, np.inf
-        for j in neg:
-            if j in used:
-                continue
-            d = abs(out[i] - np.conj(out[j]))
-            if d < best_d:
-                best, best_d = j, d
-        if best is None:
-            continue
-        used.add(best)
-        avg = 0.5 * (out[i] + np.conj(out[best]))
-        out[i] = avg
-        out[best] = np.conj(avg)
-    return out

@@ -6,11 +6,13 @@ current.  An empirical bracket, fit near the reference operating region,
 rescales the denominator dynamics; the DC coefficient pair is untouched so
 the settled value is correction-independent.  Inversion is classical
 partial fractions over the four denominator roots plus the DC offset, with
-each residue's polynomials evaluated by Horner in Python complex.  The
-first extremum of the inverted response comes from the same slope scan and
-bisection as the energy model's peak (``circuit._first_crossing``): the
-scan evaluates the mode sum on an array of times in numpy, and each
-bisection step at one scalar time as a plain Python sum over the modes.
+each residue's polynomials evaluated by Horner in Python complex.  No root
+is averaged with its partner: a conjugate pair is one mode, its upper root
+with twice that root's residue.  The first extremum of the inverted
+response comes from the same slope scan and bisection as the energy
+model's peak (``circuit._first_crossing``): the scan evaluates the mode
+sum on an array of times in numpy, and each bisection step at one scalar
+time as a plain Python sum over the modes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .circuit import (
     ResponseMetrics,
     _first_crossing,
 )
-from .polyroots import all_roots, pair_conjugates
+from .polyroots import all_roots
 from .steady import steady_inductor_current, steady_output
 
 #: relative root separation at or below which two roots count as one: a double
@@ -39,6 +41,10 @@ CONFLUENT_ROOT_TOL = 1e-6
 #: the same for three roots, each pair within it: a triple root splits by
 #: ~eps^(1/3), up to 2.8e-5 of its magnitude measured
 TRIPLE_ROOT_TOL = 1e-3
+#: a root is real when |imag| is at most this times max(1, the largest |root|)
+REAL_ROOT_TOL = 1e-8
+#: extremum scans longer than this are refused: over ten times the benchmark's longest
+MAX_SCAN_POINTS = 2**17
 
 
 class InvalidPostLoad(ModelDomainError):
@@ -58,6 +64,10 @@ class RepeatedRoots(ModelDomainError):
     ``TRIPLE_ROOT_TOL``.  A double root is resolved only to about sqrt(eps) of
     its magnitude and a triple root to about eps^(1/3), so both are caught.
     """
+
+
+class ScanTooLong(ModelDomainError):
+    """The extremum scan would take more than ``MAX_SCAN_POINTS`` samples."""
 
 
 @dataclass(frozen=True)
@@ -80,10 +90,11 @@ class QuarticTF:
 
 @dataclass(frozen=True)
 class ExpModeSum:
-    """offset + sum of residue * exp(root * t), volts.
+    """Real part of offset + sum of residue * exp(root * t), volts.
 
-    Conjugate mode pairs enter as stored; ``stable`` is False when any root
-    has a non-negative real part (response kept for diagnosis).
+    A conjugate pair is one mode, its root with imag > 0 and twice that
+    root's residue; ``stable`` is False when any denominator root has a
+    non-negative real part (response kept for diagnosis).
 
     ``deviation`` and ``deviation_slope`` take a scalar time (a Python or
     numpy number) and return a Python float, summing the modes with
@@ -210,17 +221,18 @@ def load_tf_corrected(p: ConverterParams, delta_r0: float) -> QuarticTF:
 def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
     """Partial-fraction inversion of the step-driven quartic.
 
-    Roots come from the simultaneous-iteration solver with conjugate pairs
-    enforced by averaging; residues are num(p)/(p * den'(p)) scaled by the
-    drive, with num and den' evaluated by Horner over the coefficient
-    tuples in Python complex, and the offset is the final-value term
-    gain * dc_gain.
+    Roots come from the simultaneous-iteration solver as it returns them;
+    residues are num(p)/(p * den'(p)) scaled by the drive, with num and den'
+    evaluated by Horner over the coefficient tuples in Python complex, and
+    the offset is the final-value term gain * dc_gain.  A root within
+    ``REAL_ROOT_TOL`` of the real axis is a real mode; a conjugate pair is
+    its root with imag > 0 and twice that residue.
 
     Raises :class:`RepeatedRoots` when two roots are closer than
     ``CONFLUENT_ROOT_TOL`` relative to the larger of the pair, or three are
     pairwise closer than ``TRIPLE_ROOT_TOL``.
     """
-    roots = pair_conjugates(all_roots(np.asarray(tf.den, dtype=float)))
+    roots = all_roots(np.asarray(tf.den, dtype=float))
     mag = np.abs(roots)
     rel = np.abs(np.subtract.outer(roots, roots)) / np.maximum.outer(mag, mag)
     for group in (*combinations(range(roots.size), 2), *combinations(range(roots.size), 3)):
@@ -230,8 +242,10 @@ def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
             raise RepeatedRoots(f"denominator roots {listed} coincide")
     scale = tf.gain_i2 * tf.delta_r0
     dden = [(4 - k) * c for k, c in enumerate(tf.den[:-1])]
-    modes = tuple((scale * _horner(tf.num, r) / (r * _horner(dden, r)), r)
-                  for r in roots.tolist())
+    real_tol = REAL_ROOT_TOL * max(1.0, float(mag.max()))
+    kept = [(complex(r.real), 1.0) if abs(r.imag) <= real_tol else (r, 2.0)
+            for r in roots.tolist() if r.imag >= -real_tol]
+    modes = tuple((w * scale * _horner(tf.num, r) / (r * _horner(dden, r)), r) for r, w in kept)
     stable = bool(np.all(roots.real < 0))
     return ExpModeSum(offset=scale * tf.dc_gain, modes=modes, stable=stable)
 
@@ -264,18 +278,23 @@ def mode_sum_metrics(base: float, mode_sum: ExpModeSum) -> ResponseMetrics:
     Load increases peak above the settled value; decreases report the
     symmetric undershoot (negative overshoot_pct).  The extremum is the
     first sign change of the analytic slope of the mode sum away from its
-    first non-zero sampled sign, bracketed on the scan below and bisected.
+    first non-zero sampled sign, bracketed on the scan below and bisected;
+    a scan over ``MAX_SCAN_POINTS`` raises :class:`ScanTooLong`.
     """
     if not mode_sum.modes:
         return ResponseMetrics(base, base, None, flags=("no-peak",))
     v_steady = base + mode_sum.offset
     flags: tuple[str, ...] = () if mode_sum.stable else ("unstable-roots",)
 
-    decay = min(abs(r.real) for _, r in mode_sum.modes if r.real != 0)
-    t_hi = 14.0 / decay
+    slowest = min((r.real for _, r in mode_sum.modes if r.real != 0), key=abs)
+    t_hi = 14.0 / abs(slowest)
     # at most a quarter period of the fastest ringing mode per scan step
     fastest = max(abs(r.imag) for _, r in mode_sum.modes)
-    n_scan = max(512, math.ceil(2.0 * t_hi * fastest / math.pi))
+    points = 2.0 * t_hi * fastest / math.pi
+    if points > MAX_SCAN_POINTS:
+        raise ScanTooLong(f"the slowest mode's real part is {slowest:.6g} /s, so the "
+                          f"extremum scan needs {points:.0f} points, over {MAX_SCAN_POINTS}")
+    n_scan = max(512, math.ceil(points))
     rate = max(abs(r.real) + abs(r.imag) for _, r in mode_sum.modes)
     tol = PEAK_SLOPE_TOL * rate * max(abs(mode_sum.offset), 1e-30)
     t_p = _first_crossing(mode_sum.deviation_slope, np.linspace(0.0, t_hi, n_scan + 1),

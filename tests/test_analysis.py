@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import threading
 
@@ -762,6 +763,24 @@ class TestSteepestDescent:
         with pytest.raises(ValueError, match=f"max_steps must be an integer >= 0, "
                                              f"not {max_steps!r}"):
             analysis.steepest_descent(line_params, ("l", "c"), max_steps=max_steps)
+
+    def test_a_flat_objective_stops_after_the_first_step(self, line_params, monkeypatch):
+        solves = []
+        monkeypatch.setattr(analysis, "_cold_start",
+                            lambda q, model, metric: solves.append(q) or 5.0)
+        path = analysis.steepest_descent(line_params, ("l", "c"))
+        # the start and two probes per free axis: a zero gradient ends the descent
+        assert len(path.steps) == 1 and len(solves) == 5
+
+    def test_no_lower_candidate_stops_after_the_first_step(self, line_params, monkeypatch):
+        # each solve reads higher than the last: the gradient is not zero, but
+        # every candidate of the line search is worse than the start
+        solves = itertools.count()
+        monkeypatch.setattr(analysis, "_cold_start",
+                            lambda q, model, metric: float(next(solves)))
+        path = analysis.steepest_descent(line_params, ("l", "c"))
+        # the start, four probes and 40 halvings
+        assert len(path.steps) == 1 and next(solves) == 45
 
     def test_negative_max_steps_is_refused(self, line_params):
         with pytest.raises(ValueError, match="max_steps"):

@@ -202,6 +202,17 @@ class TestFirstCrossing:
         assert _first_crossing(np.exp, self.TS, 1e-12, rising=False) is None
         assert _first_crossing(np.zeros_like, self.TS, 1e-12, rising=None) is None
 
+    def test_a_sign_jump_without_a_zero_returns_the_bracket_midpoint(self):
+        # |slope| is 1 at every time, so 200 bisections close on the jump
+        times = []
+
+        def jump(t):
+            times.append(t)
+            return np.where(np.asarray(t) < 0.25, 1.0, -1.0)
+
+        t = _first_crossing(jump, self.TS, 1e-12, rising=True)
+        assert abs(t - 0.25) <= 1e-16 and len(times) == 1 + 200
+
 
 class TestResponseMetrics:
     def test_overshoot_is_derived_from_the_steady_value_and_the_peak(self):

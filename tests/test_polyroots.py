@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from boostdyn.polyroots import all_roots, pair_conjugates
+from boostdyn.polyroots import all_roots
 from boostdyn.tfm_load import load_tf_corrected
 
 
@@ -134,14 +134,3 @@ class TestLoopParity:
         den = load_tf_corrected(p, step * p.r_0).den
         assert bitwise_equal(all_roots(den), loop_roots(den))
 
-
-class TestPairConjugates:
-    def test_snaps_noisy_pair(self):
-        noisy = np.array([-10.0 + 40.000001j, -10.000001 - 39.999999j, -3.0 + 1e-12j, -70.0])
-        fixed = pair_conjugates(noisy, tol=1e-6)
-        assert fixed[2].imag == 0.0
-        assert fixed[0] == np.conj(fixed[1])
-
-    def test_leaves_real_roots_alone(self):
-        roots = np.array([-1.0 + 0.0j, -2.0 + 0.0j])
-        assert np.allclose(pair_conjugates(roots), roots)

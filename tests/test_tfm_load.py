@@ -1,18 +1,25 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
 
+from boostdyn import cli
+from boostdyn.analysis import closed_form_metrics
 from boostdyn.circuit import ConverterParams, StepEvent, StepKind
 from boostdyn.ebm import ebm_metrics, load_step_form
 from boostdyn.oracle import simulate_averaged
+from boostdyn.polyroots import all_roots
 from boostdyn.steady import steady_inductor_current, steady_output
 from boostdyn.tfm_load import (
+    MAX_SCAN_POINTS,
     CorrectionOutOfDomain,
     ExpModeSum,
     InvalidPostLoad,
     QuarticTF,
     RepeatedRoots,
+    ScanTooLong,
     correction_factor,
     invert_quartic_tf,
     load_metrics,
@@ -40,12 +47,26 @@ def product_tf(p: ConverterParams, dr0: float, s: complex) -> complex:
     return dvo_dz * dz_dr0
 
 
+def conjugate_halves(ms) -> list[tuple[complex, complex]]:
+    """The (residue, root) term of every denominator root: a real mode as
+    stored, and a pair mode, whose residue is twice its upper root's, split
+    into its two conjugate halves."""
+    terms = []
+    for res, root in ms.modes:
+        if root.imag == 0:
+            terms.append((res, root))
+        else:
+            terms += [(res / 2, root), (res.conjugate() / 2, root.conjugate())]
+    return terms
+
+
 def partial_fraction_terms(ms, scale: float) -> list[np.ndarray]:
     """Numerator polynomials, over the monic denominator, of the offset and of
-    each mode; their sum rebuilds num/den[0]."""
-    roots = [root for _, root in ms.modes]
+    each root's term; their sum rebuilds num/den[0]."""
+    halves = conjugate_halves(ms)
+    roots = [root for _, root in halves]
     terms = [(ms.offset / scale) * np.poly(roots)]
-    for res, root in ms.modes:
+    for res, root in halves:
         others = [r for r in roots if r != root]
         terms.append((res / scale) * np.polymul([1.0, 0.0], np.poly(others)))
     return terms
@@ -118,11 +139,6 @@ class TestCorrection:
 
 
 class TestInversion:
-    def test_residues_conjugate_and_real_sum(self, load_params):
-        ms = invert_quartic_tf(load_tf_corrected(load_params, 140.0))
-        total = sum(res for res, _ in ms.modes)
-        assert abs(total.imag) <= 1e-10 * abs(total.real)
-
     def test_initial_value_is_esr_feedthrough(self, load_params):
         # the quartic keeps a direct ESR path, so t=0 lands at g/a, not zero
         tf = load_tf_corrected(load_params, 140.0)
@@ -256,6 +272,11 @@ class TestLoadMetrics:
         assert m.v_max == pytest.approx(pre)
         assert m.t_p is None
 
+    def test_a_monotone_sum_has_no_peak(self):
+        rising = ExpModeSum(offset=1.0, modes=((-1.0 + 0j, -5.0 + 0j),))
+        m = mode_sum_metrics(2.0, rising)
+        assert (m.v_steady, m.v_max, m.t_p, m.flags) == (3.0, 3.0, None, ("no-peak",))
+
     def test_settled_value_near_post_step_steady(self, load_params):
         m = load_metrics(load_params, 140.0)
         post = steady_output(dataclasses.replace(load_params, r_0=150.0))
@@ -311,7 +332,9 @@ class TestScalarPaths:
         tf = load_tf_corrected(p, step * p.r_0)
         ms = invert_quartic_tf(tf)
         reference = polyval_residues(tf, [root for _, root in ms.modes])
-        for (res, _), ref in zip(ms.modes, reference, strict=True):
+        for (res, root), ref in zip(ms.modes, reference, strict=True):
+            # a pair's one mode carries both halves: twice its upper root's residue
+            ref = (1 if root.imag == 0 else 2) * ref
             assert abs(res - ref) <= 1e-14 * abs(ref), (res, ref)
 
     def test_scalar_times_return_python_floats(self, load_params):
@@ -329,3 +352,85 @@ class TestScalarPaths:
             assert flat.deviation(t) == 1.25 and type(flat.deviation(t)) is float
             assert flat.deviation_slope(t) == 0.0 and type(flat.deviation_slope(t)) is float
         assert np.array_equal(flat.deviation(np.array([0.0, 1e-3])), [1.25, 1.25])
+
+
+class TestPairForm:
+    """One mode per real root and one per conjugate pair: the upper root with
+    twice its residue.  The real part of the sum is the four-term sum's."""
+
+    @pytest.mark.parametrize("converter", CONVERTERS)
+    @pytest.mark.parametrize("step", [-0.5, 0.5, 14.0])
+    def test_matches_the_four_mode_sum(self, request, converter, step):
+        p = request.getfixturevalue(converter)
+        tf = load_tf_corrected(p, step * p.r_0)
+        ms = invert_quartic_tf(tf)
+        assert all(root.imag >= 0 for _, root in ms.modes)
+        # np.roots as an independent root finder, its residues in the polyval form
+        roots = np.roots(tf.den)
+        residues = np.array(polyval_residues(tf, roots))
+        value_scale = float(np.sum(np.abs(residues)))
+        slope_scale = float(np.sum(np.abs(residues * roots)))
+        decay = min(abs(root.real) for _, root in ms.modes if root.real != 0)
+        times = np.linspace(0.0, 14.0 / decay, 50)
+        terms = residues * np.exp(np.outer(times, roots))
+        values = (ms.offset + terms.sum(axis=1)).real
+        slopes = (terms * roots).sum(axis=1).real
+        assert np.max(np.abs(ms.deviation(times) - values)) <= 1e-13 * value_scale
+        assert np.max(np.abs(ms.deviation_slope(times) - slopes)) <= 1e-13 * slope_scale
+        for t, value, slope in zip(times.tolist(), values, slopes):
+            assert abs(ms.deviation(t) - value) <= 1e-13 * value_scale, t
+            assert abs(ms.deviation_slope(t) - slope) <= 1e-13 * slope_scale, t
+
+    def test_near_real_roots_become_real_modes(self, load_params):
+        tf = load_tf_corrected(load_params, 140.0)
+        roots = all_roots(np.asarray(tf.den, dtype=float))
+        # Durand-Kerner leaves the two real roots a little off the axis
+        off_axis = sorted(r.imag for r in roots if 0 < abs(r.imag) < 1e-20)
+        assert len(off_axis) == 2 and off_axis[0] < 0 < off_axis[1]
+        ms = invert_quartic_tf(tf)
+        assert len(ms.modes) == 3
+        assert sorted(root.imag for _, root in ms.modes)[:2] == [0.0, 0.0]
+        upper = max((root for _, root in ms.modes), key=lambda r: r.imag)
+        assert upper == pytest.approx(-1099.0 + 2120.4j, abs=0.5)
+        assert ms.stable
+
+
+class TestScanBound:
+    """The extremum scan samples a quarter period of the fastest mode per step
+    over 14 time constants of the slowest; a long one is refused up front."""
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        """Fail any scan grid: at c = 13.7647 uF it would take 1.2e8 points."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan grid was built")
+        monkeypatch.setattr(np, "linspace", refuse)
+
+    @pytest.mark.parametrize("c", [13.7647e-6, 13.765e-6])
+    def test_barely_decaying_ringing_is_refused(self, load_params, no_scan, c):
+        p = dataclasses.replace(load_params, c=c)
+        event = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0)
+        with pytest.raises(ScanTooLong, match="points"):
+            closed_form_metrics(p, event, "tfm")
+
+    @pytest.mark.parametrize("c", [13.7647e-6, 13.765e-6])
+    def test_the_cli_exits_3(self, load_params, no_scan, tmp_path, capsys, c):
+        converter = {**dataclasses.asdict(load_params), "c": c}
+        event = {"kind": "load_resistance", "value_before": 10.0, "value_after": 150.0}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"converter": converter, "event": event}))
+        assert cli.main(["predict", "--model", "tfm", "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ScanTooLong"
+
+    def test_a_long_scan_below_the_bound_solves(self, load_params):
+        p = dataclasses.replace(load_params, c=13.77e-6)
+        ms = load_modes(p, 140.0)
+        slowest = min(abs(root.real) for _, root in ms.modes)
+        fastest = max(root.imag for _, root in ms.modes)
+        assert 40_000 < 28.0 * fastest / (math.pi * slowest) < MAX_SCAN_POINTS
+        m = load_metrics(p, 140.0)
+        assert m.t_p is not None and m.flags == ()
