@@ -21,7 +21,9 @@ read it:
 - ``audit`` (audit): optionally the window ``t0`` and ``t1``.
 
 ``predict`` and ``audit`` emit JSON, the others CSV, each to ``--out`` if
-given and to stdout otherwise.  Exit codes: 0 success; 2 a config or usage
+given and to stdout otherwise, once the solve or simulation has finished;
+CSV is written as it is formatted, in blocks of rows, so a failed write can
+leave a partial ``--out`` file.  Exit codes: 0 success; 2 a config or usage
 error, which is any ``ValueError``: ``ConfigError``, ``ParameterError`` or
 a library argument check; 3 a ``ModelDomainError``; 1 any other (internal)
 error.  Every error goes to stderr as one JSON object ``{"error",
@@ -32,13 +34,14 @@ errors print text (exit 2).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, TextIO
 
 from . import analysis
 from .circuit import (
@@ -50,6 +53,8 @@ from .circuit import (
 )
 from .oracle import energy_audit, simulate_averaged, simulate_switched
 from .steady import steady_output
+
+_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -181,23 +186,26 @@ def _sampling(cfg: dict, p: ConverterParams,
     return steps_per_cycle, p.period / steps_per_cycle, t_end
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _output(path: Optional[str]) -> contextlib.AbstractContextManager[TextIO]:
+    """The file at ``path``, or stdout, to write text to as it is formatted."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
 
 
-def write_csv(path: Optional[str], header: list[str], rows: list[list[Any]]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join("" if cell is None else str(cell) for cell in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+def write_csv(path: Optional[str], header: list[str], rows: Iterable[list[Any]]) -> None:
+    with _output(path) as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join("" if cell is None else str(cell) for cell in row) + "\n")
 
 
 def write_waveform_csv(path: Optional[str], wave: Waveform) -> None:
-    """Two columns t,v with every value in full ``repr`` precision."""
-    rows = [f"{t!r},{v!r}\n" for t, v in zip(wave.times.tolist(), wave.samples.tolist())]
-    _write_text(path, "t,v\n" + "".join(rows))
+    """Columns t,v in full ``repr`` precision, written as formatted, in blocks of rows."""
+    times, samples = wave.times, wave.samples
+    with _output(path) as f:
+        f.write("t,v\n")
+        for k in range(0, len(samples), _BLOCK_ROWS):
+            block = zip(times[k:k + _BLOCK_ROWS].tolist(), samples[k:k + _BLOCK_ROWS].tolist())
+            f.write("".join([f"{t!r},{v!r}\n" for t, v in block]))
 
 
 def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
@@ -209,7 +217,8 @@ def cmd_predict(cfg: dict, args: argparse.Namespace) -> int:
         write_waveform_csv(args.waveform, solved.waveform(event.t_event, dt, t_end))
     metrics = solved.metrics
     payload = {"model": args.model, **asdict(metrics), "overshoot_pct": metrics.overshoot_pct}
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _output(args.out) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -257,8 +266,8 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     axis1, axis2 = grid.axis1, grid.axis2
     header = [f"{axis1.name}\\{axis2.name}"] + [repr(float(v)) for v in axis2.values]
-    rows = [[float(v1)] + [float(v) if ok else "invalid" for v, ok in zip(values, valid)]
-            for v1, values, valid in zip(axis1.values, grid.values, grid.valid)]
+    rows = ([float(v1)] + [float(v) if ok else "invalid" for v, ok in zip(values, valid)]
+            for v1, values, valid in zip(axis1.values, grid.values, grid.valid))
     write_csv(args.out, header, rows)
     return 0
 
@@ -291,7 +300,8 @@ def cmd_audit(cfg: dict, args: argparse.Namespace) -> int:
     breakdown = energy_audit(p, trace, t0, t1)
     payload = {"t0": t0, "t1": t1, **asdict(breakdown), "residual": breakdown.residual,
                "flags": list(trace.flags)}
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _output(args.out) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

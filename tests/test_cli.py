@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -416,3 +418,61 @@ class TestWaveformCsv:
         fast, rows = self.both_writers(tmp_path, wave)
         assert fast == rows
         assert fast.count(b"\n") == 7002
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_block_boundaries_match_the_row_writer(self, tmp_path, n):
+        assert cli._BLOCK_ROWS == 1024  # so the lengths sit on and around one and two blocks
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        fast, rows = self.both_writers(tmp_path, Waveform(1e-3, 3e-7, samples))
+        assert fast == rows
+        assert fast.count(b"\n") == n + 1
+
+    def test_stdout_gets_the_bytes_of_a_file(self, tmp_path, capsys):
+        wave = Waveform(0.0, 1e-7, np.linspace(0.0, 5.0, 2500))
+        path = tmp_path / "wave.csv"
+        cli.write_waveform_csv(str(path), wave)
+        cli.write_csv(str(tmp_path / "rows.csv"), ["a", "b"], ([k, None] for k in range(3)))
+        assert capsys.readouterr().out == ""
+        cli.write_waveform_csv(None, wave)
+        assert capsys.readouterr().out.encode() == path.read_bytes()
+        cli.write_csv(None, ["a", "b"], ([k, None] for k in range(3)))
+        assert capsys.readouterr().out.encode() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_peak_allocation_is_the_times_array_and_two_blocks(self, tmp_path):
+        n = 200_000
+        wave = Waveform(0.0, 1e-7, np.random.default_rng(0).uniform(-13.0, 13.0, n))
+        # the longest row: per row, its string, its share of the joined and
+        # of the encoded block, its two floats and their list slots, and
+        # its slot in the list of rows
+        row = f"{-1.2345678901234567e-300!r},{-1.2345678901234567e-300!r}\n"
+        per_row = sys.getsizeof(row) + 2 * len(row) + 2 * (sys.getsizeof(1.0) + 8) + 8
+        tracemalloc.start()
+        try:
+            wave.times  # the array the writer reads, at the peak of its construction
+            times_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            cli.write_waveform_csv(str(tmp_path / "wave.csv"), wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < times_peak + 2 * cli._BLOCK_ROWS * per_row
+        assert (tmp_path / "wave.csv").read_bytes().count(b"\n") == n + 1
+
+
+class TestStreamedCsv:
+    def test_sweep_bytes_are_the_list_and_join_formula(self, line_params, tmp_path):
+        # the d = 1.2 row is invalid; the rows reach the writer as a generator
+        sweep = {"axis1": {"name": "d", "lo": 0.5, "hi": 1.2, "n": 4},
+                 "axis2": {"name": "l", "lo": 5e-4, "hi": 2e-3, "n": 3, "log": True}}
+        config = write_config(tmp_path, line_params, sweep=sweep)
+        out = tmp_path / "grid.csv"
+        assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+        grid = analysis.sweep(line_params, analysis.SweepAxis("d", 0.5, 1.2, 4),
+                              analysis.SweepAxis("l", 5e-4, 2e-3, 3, log=True))
+        lines = ["d\\l," + ",".join(repr(float(v)) for v in grid.axis2.values)]
+        lines += [",".join([repr(float(v1))] + [repr(float(v)) if ok else "invalid"
+                                                for v, ok in zip(values, valid)])
+                  for v1, values, valid in zip(grid.axis1.values, grid.values, grid.valid)]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert lines[-1].split(",")[1:] == ["invalid"] * 3

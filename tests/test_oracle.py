@@ -235,6 +235,26 @@ class TestAveraged:
         assert v[10000] == pytest.approx(v[0], rel=1e-12)
         assert v[10001] - v[10000] > 1e-4
 
+    @pytest.mark.parametrize("include_parasitics", [True, False])
+    def test_event_run_is_the_tail_of_a_run_from_zero(self, fast_params, include_parasitics):
+        # the samples after the event are bitwise the first ones of the form
+        # stepped from t = 0 over the whole horizon, after the level before
+        # it; the event may fall on the last sample or past it
+        p = fast_params
+        dt, n = p.period / 200, 3000
+        step = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2 * p.r_0)
+        for e in (1, 1023, 1777, n - 1, n, n + 1, n + 40):
+            event = replace(step, t_event=e * dt)
+            before, form = averaged_step_form(p if include_parasitics else parasitic_free(p),
+                                              event, "steady")
+            w2 = form.omega0 * form.omega0
+            whole = integrate_second_order(1.0, 2.0 * form.xi * form.omega0, w2,
+                                           w2 * form.v_inf, form.v0, form.dv0, dt, n * dt)
+            k = min(e, n + 1)
+            want = np.concatenate([np.full(k, before), whole.samples[: n + 1 - k]])
+            wave = simulate_averaged(p, [event], dt, n * dt, include_parasitics, "steady")
+            assert wave.samples.tobytes() == want.tobytes()
+
     def test_a_second_event_is_refused(self, fast_params):
         p = fast_params
         step = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2 * p.r_0, 50 * p.period)
