@@ -499,9 +499,7 @@ def _project(p: ConverterParams, constraint: Optional[str], targets: tuple) -> C
         return replace(p, l=p.l * scale, c=p.c * scale)
     if constraint == "parasitic-loss-bound":
         return replace(p, r_l=min(p.r_l, targets[2]))
-    if constraint == "constant-steady-output":
-        return _resolve_duty(p, targets[0])
-    raise ValueError(f"unknown constraint {constraint!r}")
+    return _resolve_duty(p, targets[0])  # "constant-steady-output"
 
 
 def _resolve_duty(p: ConverterParams, target: float) -> ConverterParams:

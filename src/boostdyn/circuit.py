@@ -208,7 +208,10 @@ class Waveform:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
+        # t0 + dt * arange(n) bit for bit, in place: only the result is held
+        t = np.arange(self.samples.size, dtype=float)
+        t *= self.dt
+        return np.add(t, self.t0, out=t)
 
 
 @dataclass(frozen=True, slots=True)

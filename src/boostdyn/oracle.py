@@ -341,11 +341,11 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
     """The cycle loop of both switched outputs: (the output mean of each
     whole cycle, the grid of (i_L, v_C, 1) samples if ``keep_grid`` else None, dcm).
 
-    A CCM batch advances only its cycle starts, whose means are one product
-    w @ (i_L, v_C, 1) each, and reads its off-phase currents for a dip below
-    zero from the i_L row of the cycle table alone; the cycle that dips, and
-    every cycle stepped stretch by stretch, is filled into one cycle's
-    columns and averaged.  A kept grid is written from the same run.
+    A CCM batch advances only its cycle starts, each mean one product
+    w @ (i_L, v_C, 1), and reads its off-phase currents for a dip below zero
+    from the cycle table's i_L row alone.  The cycle that dips, and every cycle
+    stepped stretch by stretch, fills one cycle's columns and is averaged;
+    only an off phase clamps.  A kept grid is written from the same run.
     """
     if not isinstance(spc, numbers.Integral) or spc < 50:
         raise ValueError(f"steps_per_cycle must be an integer >= 50, not {spc!r}")
@@ -368,7 +368,6 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
     means: list[float] = []
     # the ladder of the on (0), off (1) or idle (2) mode, built at its first use
     rungs = functools.cache(lambda v_i, r_0, mode: _ladder(_modes(p, v_i, r_0)[mode], dt, spc))
-    cycles: dict[tuple[float, float], tuple[np.ndarray, list, np.ndarray]] = {}
     dcm = False
     batch = n // spc
 
@@ -380,14 +379,11 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
         x[:, 0] = x[:, spc]
 
     for a, b, v_i, r_0 in _segments(p, events, dt, n):
-        if (v_i, r_0) not in cycles:
-            table = _cycle_table([rungs(v_i, r_0, 0), rungs(v_i, r_0, 1)], on_steps, spc)
-            one_cycle = np.vstack([table[:, :, -1], (0.0, 0.0, 1.0)])
-            # samples 0..spc-1 of the unit start columns, so w @ (i_L, v_C, 1) is a cycle's mean
-            unit = np.concatenate([np.eye(3)[:2, :, None], table[:, :, :-1]], axis=2)
-            w = _output(unit[0], unit[1], on_phase, r_0, p.r_c).mean(axis=1)
-            cycles[v_i, r_0] = table, _doublings(one_cycle, n // spc), w
-        table, cycle_rungs, w = cycles[v_i, r_0]
+        table = _cycle_table([rungs(v_i, r_0, 0), rungs(v_i, r_0, 1)], on_steps, spc)
+        cycle_rungs = _doublings(np.vstack([table[:, :, -1], (0.0, 0.0, 1.0)]), n // spc)
+        # samples 0..spc-1 of the unit start columns, so w @ (i_L, v_C, 1) is a cycle's mean
+        unit = np.concatenate([np.eye(3)[:2, :, None], table[:, :, :-1]], axis=2)
+        w = _output(unit[0], unit[1], on_phase, r_0, p.r_c).mean(axis=1)
         k = r_0 / (r_0 + p.r_c)
         j = a
         while j < b:
@@ -421,27 +417,23 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
                     close_cycle(c0)
                     c0 = j
             cycle_end = min(c0 + spc, b) - c0
-            # what is left of this cycle's on phase, then of its off phase
-            for i, end, on in ((j - c0, min(on_steps, cycle_end), True),
-                               (max(j - c0, on_steps), cycle_end, False)):
-                while i < end:
-                    i_l, v_c = x[0, i], x[1, i]
-                    idle = not on and i_l <= 0.0 and k * (v_c + p.r_c * i_l) > v_i - p.v_d
-                    seg = x[:, i : end + 1]
-                    _advance(seg, rungs(v_i, r_0, 2 if idle else 0 if on else 1))
-                    if idle:
-                        stop = k * seg[1, 1:] <= v_i - p.v_d
-                    elif on and i_l >= 0.0:
-                        break  # the on mode only charges the inductor
-                    else:
-                        stop = seg[0, 1:] < 0.0
-                    m = int(stop.argmax())
-                    if not stop[m]:
-                        break
-                    i += m + 1
-                    if not idle:
-                        x[0, i] = 0.0
-                        dcm = dcm or not on
+            # what is left of this cycle's on phase, which keeps its start's i_L >= 0
+            i = j - c0
+            if i < on_steps:
+                _advance(x[:, i : min(on_steps, cycle_end) + 1], rungs(v_i, r_0, 0))
+                i = on_steps
+            # then of its off phase, the only phase that clamps: i_L <= 0 is i_L = 0
+            while i < cycle_end:
+                idle = x[0, i] <= 0.0 and k * x[1, i] > v_i - p.v_d
+                seg = x[:, i : cycle_end + 1]
+                _advance(seg, rungs(v_i, r_0, 2 if idle else 1))
+                stop = k * seg[1, 1:] <= v_i - p.v_d if idle else seg[0, 1:] < 0.0
+                m = int(stop.argmax())
+                if not stop[m]:
+                    break
+                i += m + 1
+                if not idle:
+                    x[0, i], dcm = 0.0, True
             j = c0 + cycle_end
             if cycle_end == spc:
                 close_cycle(c0)
@@ -459,14 +451,14 @@ def simulate_switched(
 ) -> SwitchedTrace:
     """Cycle-by-cycle run of the switched circuit across at most one event.
 
-    Each cycle runs round(D * steps_per_cycle) substeps in the on mode and
-    the rest in the off mode.  Whole cycles that start with i_L >= 0 run in
-    batches: doubling the one-cycle map of the cycle table (``_cycle_table``,
-    built once per input and load) gives their starts, and their samples are
-    the starts times the table.  From an off phase that dips below i_L = 0,
-    and in a cycle that an event splits, stretches are stepped one by one in
-    that cycle's columns: an off substep that ends below zero is clamped and
-    flags the trace "dcm", and the idle mode runs until the output falls to
+    Each cycle runs round(D * steps_per_cycle) substeps in the on mode, which
+    keeps the i_L >= 0 the cycle starts at, then the rest in the off mode.
+    Whole cycles run in batches: doubling the one-cycle map of the cycle table
+    (``_cycle_table``, built at the start and at the event) gives their starts,
+    and their samples are the starts times the table.  A cycle whose off phase
+    dips below i_L = 0, or that an event splits, is stepped stretch by stretch
+    in its columns: only an off substep that ends below zero is clamped,
+    flagging the trace "dcm", and the idle mode runs until the output falls to
     v_i - v_d.  After a clamp the batch restarts at one cycle and doubles.
     """
     spc = steps_per_cycle

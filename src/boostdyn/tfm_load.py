@@ -10,9 +10,9 @@ each residue's polynomials evaluated by Horner in Python complex.  No root
 is averaged with its partner: a conjugate pair is one mode, its upper root
 with twice that root's residue.  The first extremum of the inverted
 response comes from the same slope scan and bisection as the energy
-model's peak (``circuit._first_crossing``): the scan evaluates the mode
-sum on an array of times in numpy, and each bisection step at one scalar
-time as a plain Python sum over the modes.
+model's peak (``circuit._first_crossing``).  Response and slope are one mode
+sum, the slope's with each residue times its root: the scan evaluates it on
+an array of times in numpy, and each bisection step at one time in Python.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class ExpModeSum:
     root's residue; ``stable`` is False when any denominator root has a
     non-negative real part (response kept for diagnosis).
 
-    ``deviation`` and ``deviation_slope`` take a scalar time (a Python or
-    numpy number) and return a Python float, summing the modes with
-    ``cmath`` in the order the array path adds them; any other ``t`` goes
-    through numpy and returns an array of its shape.
+    ``deviation`` and ``deviation_slope`` share one sum, the slope's with each
+    residue times its root.  At a scalar time (a Python or numpy number) it
+    is a Python float, the modes summed by ``cmath`` in the array path's
+    order; any other ``t`` goes through numpy and returns an array of its shape.
     """
 
     offset: float
@@ -107,30 +107,25 @@ class ExpModeSum:
     stable: bool = True
 
     def deviation(self, t):
-        if np.isscalar(t):
-            t = float(t)
-            total = complex(self.offset)
-            for residue, root in self.modes:
-                total += residue * cmath.exp(root * t)
-            return total.real
-        t_arr = np.asarray(t, dtype=float)
-        out = np.full(t_arr.shape, self.offset, dtype=complex)
-        for residue, root in self.modes:
-            out = out + residue * np.exp(root * t_arr)
-        return out.real
+        return _mode_sum(self.offset, self.modes, t)
 
     def deviation_slope(self, t):
-        if np.isscalar(t):
-            t = float(t)
-            total = 0j
-            for residue, root in self.modes:
-                total += residue * root * cmath.exp(root * t)
-            return total.real
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros(t_arr.shape, dtype=complex)
-        for residue, root in self.modes:
-            out = out + residue * root * np.exp(root * t_arr)
-        return out.real
+        return _mode_sum(0.0, [(residue * root, root) for residue, root in self.modes], t)
+
+
+def _mode_sum(offset: float, modes, t):
+    """``ExpModeSum.deviation`` of ``offset`` and ``modes`` at ``t``."""
+    if np.isscalar(t):
+        t = float(t)
+        total = complex(offset)
+        for residue, root in modes:
+            total += residue * cmath.exp(root * t)
+        return total.real
+    t_arr = np.asarray(t, dtype=float)
+    out = np.full(t_arr.shape, offset, dtype=complex)
+    for residue, root in modes:
+        out = out + residue * np.exp(root * t_arr)
+    return out.real
 
 
 def _raw_coefficients(p: ConverterParams, delta_r0: float):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,6 +163,25 @@ class TestWaveform:
         w = Waveform(t0=1.0, dt=0.5, samples=np.array([1.0, 2.0, 3.0]))
         assert np.allclose(w.times, [1.0, 1.5, 2.0])
         assert len(w) == 3
+
+    @given(t0=st.floats(-1e3, 1e3), dt=st.floats(1e-9, 1e2), n=st.integers(1, 5000))
+    def test_times_are_the_product_form_bit_for_bit(self, t0, dt, n):
+        w = Waveform(t0=t0, dt=dt, samples=np.zeros(n))
+        assert w.times.tobytes() == (t0 + dt * np.arange(n)).tobytes()
+
+    def test_times_hold_only_the_result(self):
+        # an int arange beside its float product would take 16 B per sample
+        n = 200_000
+        w = Waveform(t0=0.25, dt=1e-6, samples=np.zeros(n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            times = w.times
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert times.size == n
+        assert peak < 1.25 * 8 * n
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boostdyn import ConverterParams, StepEvent, StepKind, analysis, ebm, oracle
 from boostdyn.circuit import parasitic_free
@@ -28,6 +29,9 @@ LOSSLESS = dict(r_l=0.0, r_m=0.0, r_c=0.0, v_d=0.0)
 #: the small converter of the benchmark's validate workload
 QUICK = ConverterParams(v_i=3.0, l=20e-6, r_l=0.1, c=4e-6, r_c=0.05, r_m=0.08,
                         v_d=0.3, r_0=8.0, d=0.5, f_sw=1e5)
+#: the load-step converter of the benchmark (conftest's ``load_params``)
+LOAD = ConverterParams(v_i=5.0, l=1e-3, r_l=1.4, c=43e-6, r_c=1.0, r_m=0.8,
+                       v_d=0.4, r_0=10.0, d=0.50, f_sw=1e4)
 
 
 def events_of(p, late_periods=7.37):
@@ -454,6 +458,34 @@ class TestSwitched:
         on = trace.on_phase
         k = p.r_0 / (p.r_0 + p.r_c)
         assert np.allclose(trace.v_out[on], k * trace.v_c[on], rtol=1e-14, atol=0)
+
+
+class TestOnlyAnOffPhaseClamps:
+    """The stepper's premise: every cycle starts at i_L >= 0, which the on
+    mode keeps, so i_L is clamped at zero only in an off phase.  Drawn
+    around the bench load converter, with the loads before and after the
+    event on either side of the CCM/DCM boundary K = K_crit, where
+    K = 2 L / (R0 T) and K_crit = D (1 - D)^2, and the event at any time."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scales=st.tuples(*[st.floats(0.7, 1.3)] * 4), d=st.floats(0.3, 0.7),
+           k_ratios=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+           at=st.floats(0.0, 1.0), initial_state=st.sampled_from(["zero", "steady"]))
+    def test_zero_current_only_off_phase_and_flagged(self, scales, d, k_ratios, at,
+                                                     initial_state):
+        p = replace(LOAD, **{name: getattr(LOAD, name) * s
+                             for name, s in zip(("v_i", "l", "c", "r_l"), scales)}, d=d)
+        r_before, r_after = (2.0 * p.l / (p.period * k * d * (1.0 - d) ** 2)
+                             for k in k_ratios)
+        p = replace(p, r_0=r_before)
+        t_end = 30 * p.period
+        step = StepEvent(StepKind.LOAD_RESISTANCE, r_before, r_after, at * t_end)
+        trace = simulate_switched(p, [step], 50, t_end, initial_state=initial_state)
+        assert np.all(trace.i_l >= 0.0)
+        # sample k + 1 ends substep k, whose phase is on_phase[k]
+        zero = np.flatnonzero(trace.i_l[1:] == 0.0)
+        assert not np.any(trace.on_phase[zero])
+        assert (trace.flags == ("dcm",)) == (zero.size > 0)
 
 
 class TestEnergyAudit:
