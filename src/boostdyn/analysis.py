@@ -7,9 +7,9 @@ response; ``closed_form_metrics``, ``compare_models`` and the CLI all use it.
 ``compare_models`` samples no oracle grid: its averaged rows are exact
 two-pole forms, like the closed forms, and its switched row is the switched
 oracle's cycle means.
-``_cold_start`` is the one place that evaluates a cold start for sweeps and
-descents: the TFM and the EBM steady value as array expressions, every
-other EBM and FR metric through ``closed_form``.
+``_cold_start`` is the one place that evaluates a cold start, of one design
+or of field arrays, for sweeps and descents.  Every workflow takes every
+model of ``CLOSED_FORMS``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,11 @@ from .steady import steady_output
 AER_INPUT_STEP = (5.35, 6.74)
 AER_LOAD_STEP = (8.80, 13.43)
 
+CLOSED_FORMS = ("ebm", "tfm", "fr")
 SWEEP_AXES = ("v_i", "d", "l", "c", "r_0", "r_l", "r_c", "r_m", "v_d")
 SWEEP_METRICS = ("v_max", "v_steady", "t_p")
+#: the fields of one sweep cell, unchecked: Python floats, as a record holds them
+_Cell = NamedTuple("_Cell", [(name, float) for name in FIELD_RULES])
 
 
 class ZeroReference(ModelDomainError):
@@ -108,7 +111,7 @@ def extract_metrics(w: Waveform, t_event: float) -> ResponseMetrics:
 
 # --- model comparison ------------------------------------------------------
 
-MODEL_ROWS = ("ebm", "tfm", "fr", "avg+par", "avg-par", "switched")
+MODEL_ROWS = CLOSED_FORMS + ("avg+par", "avg-par", "switched")
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,9 +179,15 @@ def _check_input_step(p: ConverterParams, event: StepEvent) -> None:
                          f"value_after {event.value_after!r} V is not v_i {p.v_i!r} V")
 
 
+def _check_model(model: str) -> None:
+    if model not in CLOSED_FORMS:
+        *rest, last = map(repr, CLOSED_FORMS)
+        raise ValueError(f"model must be one of {', '.join(rest)} or {last}, not {model!r}")
+
+
 def closed_form(p: ConverterParams, event: StepEvent, model: str) -> ClosedForm:
-    """Solve ``event`` on ``p`` once with the closed-form ``model`` ("ebm",
-    "tfm" or "fr"): its metrics, pre-event level and post-event response.
+    """Solve ``event`` on ``p`` once with the closed-form ``model``, one of
+    CLOSED_FORMS: its metrics, pre-event level and post-event response.
 
     An input step ends at ``p.v_i`` (any other step is refused) and starts
     from the steady output at the pre-step input (zero for a cold start),
@@ -187,14 +196,13 @@ def closed_form(p: ConverterParams, event: StepEvent, model: str) -> ClosedForm:
     transient: it stays flat at Vi/(1-D) and is flagged "no-transient".
     """
     _check_input_step(p, event)
+    _check_model(model)
     if model == "ebm":
         if event.kind is StepKind.INPUT_VOLTAGE:
             form = ebm.startup_form(p, v_before=event.value_before)
         else:
             form = ebm.load_step_form(p, event.value_before, event.value_after)
         return ClosedForm(ebm.ebm_metrics(form), form.v0, lambda t: ebm.ebm_response(form, t))
-    if model not in ("tfm", "fr"):
-        raise ValueError(f"model must be one of 'ebm', 'tfm' or 'fr', not {model!r}")
     if event.kind is StepKind.INPUT_VOLTAGE:
         q = parasitic_free(p) if model == "fr" else p
         tf = tfm_line.line_tf_coefficients(q)
@@ -305,7 +313,7 @@ def compare_models(
     cycles = switched_cycle_means(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
     dt = p.period / steps_per_cycle
 
-    forms = {model: closed_form(p, event, model) for model in ("ebm", "tfm", "fr")}
+    forms = {model: closed_form(p, event, model) for model in CLOSED_FORMS}
     forms["avg+par"] = _averaged_row(sim_p, event, initial)
     forms["avg-par"] = _averaged_row(parasitic_free(sim_p), event, initial)
     # model -> (metrics, its output at given times, its own waveform)
@@ -384,15 +392,14 @@ class SweepGrid:
 def _cold_start(q, model: str, metric: str):
     """``metric`` ("v_steady", "v_max" or "t_p") of the cold start of ``q``,
     an input step from 0 to ``q.v_i``; NaN where it has no value (t_p of a
-    peak-free response).
-
-    ``q`` is a record or any object that carries its fields.  Two pairs
-    take the fields as arrays that broadcast, and then answer in their
-    shape: the TFM, on its kernel, and the EBM's steady value, the DC
-    solution forcing / m0 of its ODE, with no transient solved (NaN where
-    m2 or m0 is not positive, which the standard form refuses).  Every
-    other EBM metric and FR solve one design through
-    ``closed_form_metrics``, which refuses any other model.
+    peak-free response).  ``q`` is a record or any object that carries its
+    fields: all numbers, one design, or all arrays that broadcast, whose
+    shape the answer then has.  The TFM kernel and the EBM's steady value,
+    forcing / m0 of its ODE with no transient solved (NaN where m2 or m0 is
+    not positive, which the standard form refuses), take whole arrays.
+    Every other pair solves design by design through ``closed_form_metrics``,
+    which refuses any other model: one design raises where it is refused,
+    while a cell of arrays is NaN there, and NaN unsolved where a field is.
     """
     if model == "tfm":
         solved = tfm_line.line_step_metrics(tfm_line.line_tf_coefficients(q), 0.0, q.v_i)
@@ -400,9 +407,19 @@ def _cold_start(q, model: str, metric: str):
     if model == "ebm" and metric == "v_steady":
         co = ebm.ode_coefficients(q)
         return np.where((co.m2 > 0.0) & (co.m0 > 0.0), co.forcing / co.m0, np.nan)[()]
-    m = closed_form_metrics(q, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, q.v_i), model)
-    value = getattr(m, metric)
-    return math.nan if value is None else value
+    if not isinstance(q.v_i, np.ndarray):
+        m = closed_form_metrics(q, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, q.v_i), model)
+        value = getattr(m, metric)
+        return math.nan if value is None else value
+    grid = np.broadcast_arrays(*(getattr(q, name) for name in FIELD_RULES))
+    values = np.full(grid[0].shape, np.nan)
+    for k, cell in enumerate(zip(*(x.ravel().tolist() for x in grid))):
+        try:
+            if not any(map(math.isnan, cell)):
+                values.flat[k] = _cold_start(_Cell._make(cell), model, metric)
+        except (ValueError, ModelDomainError):
+            pass
+    return values
 
 
 def _checked_values(axis: SweepAxis) -> np.ndarray:
@@ -421,15 +438,14 @@ def sweep(
 ) -> SweepGrid:
     """Startup-overshoot response surface over two component axes.
 
-    ``metric`` is one of SWEEP_METRICS of a cold start, as
-    ``closed_form_metrics`` gives it for each cell.  The axis values are
-    checked once, each by its own field's rules (``circuit.FIELD_RULES``).
-    Every pair that ``_cold_start`` answers on arrays (the TFM, and the
-    EBM's steady value) is then solved as the whole grid in one call; the
-    EBM's peak and peak time, which have no array form yet, are solved cell
-    by cell on field sets, never records.  Cells whose parameters make no
-    valid record, land outside a model's domain or have no value (t_p of a
-    peak-free response) are NaN and marked invalid, never interpolated.
+    ``metric`` (one of SWEEP_METRICS) of a cold start by ``model`` (one of
+    CLOSED_FORMS), each checked before any solve, as ``closed_form_metrics``
+    gives it for each cell.  The axis values are checked once, each by its
+    own field's rules (``circuit.FIELD_RULES``), and the grid is one
+    ``_cold_start`` call on field arrays, which solves on field sets, never
+    records.  Cells whose parameters make no valid record, land outside a
+    model's domain or have no value (t_p of a peak-free response) are NaN
+    and marked invalid, never interpolated.
     """
     if axis1.name not in SWEEP_AXES or axis2.name not in SWEEP_AXES:
         raise UnsupportedAxisPair(f"axes must be drawn from {SWEEP_AXES}")
@@ -437,36 +453,19 @@ def sweep(
         raise UnsupportedAxisPair("axes must differ")
     if not (1 <= axis1.n <= 512 and 1 <= axis2.n <= 512):
         raise UnsupportedAxisPair("axis resolution must be 1 to 512 points")
-    if model not in ("ebm", "tfm"):
-        raise ValueError("sweep models are the two closed forms: 'ebm' or 'tfm'")
+    _check_model(model)
     if metric not in SWEEP_METRICS:
         raise ValueError(f"sweep metric must be one of {SWEEP_METRICS}, not {metric!r}")
 
     # A cell makes a record exactly when each of its two axis values passes
     # its field's rules: n1 + n2 checks cover all n1 n2 cells.
     x1, x2 = _checked_values(axis1), _checked_values(axis2)
-    if model == "tfm" or metric == "v_steady":  # the pairs _cold_start solves on arrays
-        # Arrays all, so that a v_i <= 0 of p gives NaN TFM cells, not a raise.
-        fields = {name: np.asarray(getattr(p, name)) for name in SWEEP_AXES}
-        fields[axis1.name], fields[axis2.name] = x1[:, None], x2[None, :]
-        cells = _cold_start(SimpleNamespace(**fields), model, metric)
-        valid = np.isfinite(x1)[:, None] & np.isfinite(x2)[None, :]
-        values = np.where(valid, cells, np.nan)
-        return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values)
-
-    fields = {name: getattr(p, name) for name in FIELD_RULES}
-    values = np.full((axis1.n, axis2.n), np.nan)
-    column = x2.tolist()
-    for i, x in enumerate(x1.tolist()):
-        for j, y in enumerate(column):
-            if math.isnan(x) or math.isnan(y):
-                continue
-            q = SimpleNamespace(**{**fields, axis1.name: x, axis2.name: y})
-            try:
-                values[i, j] = _cold_start(q, model, metric)
-            except (ValueError, ModelDomainError):
-                pass
-    return SweepGrid(axis1=axis1, axis2=axis2, metric=metric, values=values)
+    # Arrays all: one grid for _cold_start, and NaN TFM cells, not a raise, at v_i <= 0.
+    fields = {name: np.asarray(getattr(p, name)) for name in FIELD_RULES}
+    fields[axis1.name], fields[axis2.name] = x1[:, None], x2[None, :]
+    cells = _cold_start(SimpleNamespace(**fields), model, metric)
+    valid = np.isfinite(x1)[:, None] & np.isfinite(x2)[None, :]
+    return SweepGrid(axis1, axis2, metric, np.where(valid, cells, np.nan))
 
 
 # --- descent ---------------------------------------------------------------
@@ -539,7 +538,7 @@ def steepest_descent(
     percent of the current magnitudes and is halved until the (projected)
     step strictly lowers the peak; an accepted move is a record, a
     DescentStep.  Constraints are enforced by projection after every step.
-    ``model`` is "ebm", "tfm" or "fr", and ``r_l_budget``, the bound of
+    ``model`` is one of CLOSED_FORMS, and ``r_l_budget``, the bound of
     "parasitic-loss-bound" (``p.r_l`` when None), a finite resistance >= 0.
     """
     if not 2 <= len(set(free)) == len(free) <= 3:

@@ -20,6 +20,9 @@ read it:
   ``constraint``, ``max_steps``, ``model`` and ``r_l_budget``.
 - ``audit`` (audit): optionally the window ``t0`` and ``t1``.
 
+A ``model`` key, like predict's ``--model``, names any of the three closed
+forms, ``analysis.CLOSED_FORMS``: sweep and descend take each of them.
+
 ``predict`` and ``audit`` emit JSON, the others CSV, each to ``--out`` if
 given and to stdout otherwise, once the solve or simulation has finished;
 CSV is written as it is formatted, in blocks of rows, so a failed write can
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("predict", cmd_predict, "closed-form metrics for one event")
-    sp.add_argument("--model", choices=("ebm", "tfm", "fr"), default="tfm")
+    sp.add_argument("--model", choices=analysis.CLOSED_FORMS, default="tfm")
     sp.add_argument("--waveform", default=None, help="also write the response CSV here")
 
     sp = add("simulate", cmd_simulate, "run a numerical oracle")

@@ -336,6 +336,11 @@ def _output(i_l, v_c, on_phase, r_0, r_c: float, out=None) -> np.ndarray:
     return out
 
 
+#: the most elements of one batch's dip check, its cycles times their off-phase
+#: substeps: 2^20 floats, 8 MB, whatever the length of the run
+_DIP_CHECK_SIZE = 2**20
+
+
 def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
                      t_end: float, initial_state, keep_grid: bool = False):
     """The cycle loop of both switched outputs: (the output mean of each
@@ -343,7 +348,8 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
 
     A CCM batch advances only its cycle starts, each mean one product
     w @ (i_L, v_C, 1), and reads its off-phase currents for a dip below zero
-    from the cycle table's i_L row alone.  The cycle that dips, and every cycle
+    from the cycle table's i_L row alone, for at most ``_DIP_CHECK_SIZE``
+    off-phase substeps at once.  The cycle that dips, and every cycle
     stepped stretch by stretch, fills one cycle's columns and is averaged;
     only an off phase clamps.  A kept grid is written from the same run.
     """
@@ -370,6 +376,8 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
     rungs = functools.cache(lambda v_i, r_0, mode: _ladder(_modes(p, v_i, r_0)[mode], dt, spc))
     dcm = False
     batch = n // spc
+    # an on phase may fill the whole cycle, and leave no off substep to check
+    max_batch = max(1, _DIP_CHECK_SIZE // max(1, spc - on_steps))
 
     def close_cycle(c0: int) -> None:
         """Average and write the cycle in hand, from sample c0, and start the next at its end."""
@@ -389,7 +397,7 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
         while j < b:
             c0 = j - j % spc
             r_0s[j - c0 :] = r_0
-            whole = min(batch, (b - j) // spc) if j == c0 and x[0, 0] >= 0.0 else 0
+            whole = min(batch, max_batch, (b - j) // spc) if j == c0 and x[0, 0] >= 0.0 else 0
             if whole:
                 starts = np.repeat(x[:, :1], whole, axis=1)
                 _advance(starts, cycle_rungs)

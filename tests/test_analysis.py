@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -601,6 +602,82 @@ class TestEbmSweepParity:
         axes = self.AXES["duty-past-one"]
         grid = analysis.sweep(line_params, *axes, model="ebm", metric="v_max")
         assert grid.valid.any() and not grid.valid.all()
+
+
+class TestFrSweepParity:
+    """FR sweeps cell by cell through ``closed_form``, as it solves one
+    design: bitwise the scalar closed form of a record."""
+
+    @pytest.mark.parametrize("metric", analysis.SWEEP_METRICS)
+    @pytest.mark.parametrize("axes", TestTfmSweepParity.AXES.values(),
+                             ids=TestTfmSweepParity.AXES.keys())
+    def test_cells_equal_the_scalar_path(self, line_params, axes, metric):
+        assert_scalar_parity(line_params, axes, metric, "fr")
+
+    @pytest.mark.parametrize("metric", analysis.SWEEP_METRICS)
+    @pytest.mark.parametrize("names", [("l", "c"), ("d", "r_0")])
+    def test_fr_is_the_tfm_of_the_ideal_converter(self, line_params, names, metric):
+        spans = {"l": (0.5e-3, 2e-3), "c": (20e-6, 80e-6), "d": (0.2, 0.8), "r_0": (20.0, 200.0)}
+        axes = [analysis.SweepAxis(name, *spans[name], 5) for name in names]
+        fr = analysis.sweep(line_params, *axes, model="fr", metric=metric)
+        tfm = analysis.sweep(circuit.parasitic_free(line_params), *axes, metric=metric)
+        assert fr.valid.all() or metric == "t_p"
+        assert np.array_equal(fr.values, tfm.values, equal_nan=True)
+
+    def test_unknown_model_is_refused_before_any_solve(self, line_params, monkeypatch):
+        for module, name in ((analysis, "closed_form_metrics"), (analysis, "closed_form"),
+                             (tfm_line, "line_step_metrics"), (ebm, "ode_coefficients")):
+            monkeypatch.setattr(module, name, fail)
+        axes = TestTfmSweepParity.AXES["overdamped"]
+        with pytest.raises(ValueError) as refused:
+            analysis.sweep(line_params, *axes, model="avg+par")
+        assert str(refused.value) == ("model must be one of 'ebm', 'tfm' or 'fr', "
+                                      "not 'avg+par'")
+
+
+def field_arrays(p, **arrays):
+    """The fields of ``p`` as arrays, some of them replaced by ``arrays``."""
+    fields = {name: np.asarray(getattr(p, name)) for name in circuit.FIELD_RULES}
+    return SimpleNamespace(**{**fields, **arrays})
+
+
+class TestColdStart:
+    L = np.array([0.5e-3, 1e-3, 2e-3])[:, None]
+    C = np.array([20e-6, 42e-6, 80e-6, 1e-4])[None, :]
+
+    @pytest.mark.parametrize("metric", analysis.SWEEP_METRICS)
+    def test_ebm_on_field_arrays_is_the_answer_of_each_cell(self, line_params, metric):
+        got = analysis._cold_start(field_arrays(line_params, l=self.L, c=self.C), "ebm", metric)
+        assert got.shape == (3, 4)
+        for i, j in itertools.product(range(3), range(4)):
+            q = dataclasses.replace(line_params, l=float(self.L[i, 0]), c=float(self.C[0, j]))
+            value = getattr(analysis.closed_form_metrics(q, cold_start(q), "ebm"), metric)
+            assert got[i, j] == value
+            assert got[i, j] == analysis._cold_start(q, "ebm", metric)
+
+    @pytest.mark.parametrize("model, field, value, error", [
+        ("fr", "d", 1.2, ParameterError),  # FR solves the record of its ideal converter
+        ("ebm", "l", -1e-3, ValueError),   # m2 < 0, which the standard form refuses
+    ])
+    def test_a_refused_design_raises_and_its_cell_is_nan(self, line_params, model, field,
+                                                         value, error):
+        fields = {name: getattr(line_params, name) for name in circuit.FIELD_RULES}
+        with pytest.raises(error):
+            analysis._cold_start(SimpleNamespace(**{**fields, field: value}), model, "v_max")
+        column = np.array([getattr(line_params, field), value, math.nan])
+        got = analysis._cold_start(field_arrays(line_params, **{field: column}),
+                                   model, "v_max")
+        assert got[0] == analysis._cold_start(line_params, model, "v_max")
+        assert np.isnan(got[1:]).all()
+
+    def test_a_nan_cell_is_not_solved(self, line_params, monkeypatch):
+        solved = []
+        metrics = analysis.closed_form_metrics
+        monkeypatch.setattr(analysis, "closed_form_metrics",
+                            lambda q, *args: solved.append(q.c) or metrics(q, *args))
+        got = analysis._cold_start(field_arrays(line_params, c=np.array([42e-6, math.nan])),
+                                   "ebm", "v_max")
+        assert solved == [42e-6] and np.isnan(got[1]) and math.isfinite(got[0])
 
 
 class TestSlottedRecords:

@@ -308,17 +308,20 @@ class TestConfigSchema:
 
 
 class TestErrorContract:
-    def test_unsupported_sweep_model_is_a_config_error(self, line_params, tmp_path, capsys):
+    def test_unknown_sweep_model_is_a_config_error(self, line_params, tmp_path, capsys):
         axis = {"name": "l", "lo": 5e-4, "hi": 2e-3, "n": 3}
         sweep = {"axis1": axis, "axis2": {**axis, "name": "c", "lo": 2e-5, "hi": 8e-5},
-                 "model": "fr"}
+                 "model": "avg+par"}
         config = write_config(tmp_path, line_params, sweep=sweep)
         assert cli.main(["sweep", "--config", config]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        # the refusal of closed_form, word for word
+        event = StepEvent(StepKind.INPUT_VOLTAGE, 0.0, line_params.v_i)
+        with pytest.raises(ValueError) as refused:
+            analysis.closed_form(line_params, event, "avg+par")
         assert json.loads(captured.err) == {
-            "error": "ConfigError", "exit_code": 2,
-            "message": "sweep models are the two closed forms: 'ebm' or 'tfm'"}
+            "error": "ConfigError", "exit_code": 2, "message": str(refused.value)}
 
     def test_invalid_converter_names_every_violation(self, fast_params, tmp_path, capsys):
         config = Path(write_config(tmp_path, fast_params, event=COLD))

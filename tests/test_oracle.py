@@ -601,6 +601,19 @@ class TestCycleMeans:
         grid_bytes = 3 * (1200 * 200 + 1) * 8
         assert peak < grid_bytes / 4
 
+    def test_a_long_run_checks_its_dips_in_bounded_batches(self, load_params):
+        # 60,000 CCM cycles of 100 off-phase substeps: one batch of them all
+        # would check 6e6 off-phase currents at once, 48 MB of floats
+        p = load_params
+        tracemalloc.start()
+        try:
+            means = switched_cycle_means(p, [], 200, 60000 * p.period, initial_state="steady")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert means.flags == () and len(means.waveform) == 60000
+        assert peak < 2 * 8 * oracle._DIP_CHECK_SIZE
+
     #: (run, substeps per cycle) -> (flags, float.hex of the last mean, sha256
     #: of the float.hex strings of all means): load_params stepped 10 -> 150
     #: ohm (DCM) and 10 -> 5 ohm (CCM), and line_params from a cold start
