@@ -4,9 +4,9 @@ overshoot-mitigation paths over the component space.
 ``closed_form`` is the one place that solves an (event, model) pair in
 closed form, once, for its metrics, its pre-event level and its post-event
 response; ``closed_form_metrics``, ``compare_models`` and the CLI all use it.
-``compare_models`` samples no oracle grid: its averaged rows are exact
-two-pole forms, like the closed forms, and its switched row is the switched
-oracle's cycle means.
+``compare_models`` scores every row on one grid, the switched run's cycle
+midpoints, where its switched row is the cycle means and each form (the
+averaged rows are exact two-pole forms too) is evaluated exactly.
 ``_cold_start`` is the one place that evaluates a cold start, of one design
 or of field arrays, for sweeps and descents.  Every workflow takes every
 model of ``CLOSED_FORMS``.
@@ -291,17 +291,15 @@ def compare_models(
     """One row per model: closed forms, both averaged oracles and the
     switched oracle, each with metrics and errors against the reference.
 
-    Five rows are forms, solved and scored exactly: the three closed forms
-    and the two averaged rows, the averaged circuit's own two-pole form
-    (``_averaged_row``), all acting at the exact ``t_event``.  The switched
-    row is the oracle at cycle rate: its output mean over each whole cycle
-    of ``p.period``, at the cycle's midpoint, run at ``steps_per_cycle``
-    substeps per cycle without a grid of them (``switched_cycle_means``),
-    and interpolated linearly between the means.  Each row's rmse samples
-    it on the reference's own grid: the cycle midpoints of the switched
-    reference, or a form reference sampled every ``p.period /
-    steps_per_cycle``, the only grid a form is sampled on.  ``reference`` is
-    a row name or "aer" to score against the embedded measured scalars (no
+    Every row is evaluated once, on one grid whatever the reference: the
+    cycle midpoints of the switched run (``switched_cycle_means``, at
+    ``steps_per_cycle`` substeps per cycle of ``p.period``, with no grid of
+    them).  The switched row is its output means over whole cycles.  Five
+    rows are forms, solved exactly and acting at the exact ``t_event``: the
+    three closed forms and the two averaged rows, the averaged circuit's own
+    two-pole form (``_averaged_row``).  A row's rmse is against the
+    reference row's samples, so it is symmetric.  ``reference`` is a row
+    name or "aer" to score against the embedded measured scalars (no
     waveform, so no rmse in that mode).  An input step must end at
     ``p.v_i``.
     """
@@ -311,38 +309,36 @@ def compare_models(
     if t_end is None:
         t_end = default_comparison_t_end(p, event)
     cycles = switched_cycle_means(sim_p, events, steps_per_cycle, t_end, initial_state=initial)
-    dt = p.period / steps_per_cycle
+    cyc = cycles.waveform
+    midpoints = cyc.times
 
     forms = {model: closed_form(p, event, model) for model in CLOSED_FORMS}
     forms["avg+par"] = _averaged_row(sim_p, event, initial)
     forms["avg-par"] = _averaged_row(parasitic_free(sim_p), event, initial)
-    # model -> (metrics, its output at given times, its own waveform)
-    solved = {model: (form.metrics, partial(form.at, t_event=event.t_event),
-                      partial(form.waveform, event.t_event, dt, t_end))
+    # model -> (metrics, its output at the cycle midpoints)
+    solved = {model: (form.metrics, form.at(midpoints, event.t_event))
               for model, form in forms.items()}
-    cyc = cycles.waveform
     switched = replace(extract_metrics(cyc, event.t_event), flags=cycles.flags)
-    solved["switched"] = (switched, lambda t: np.interp(t, cyc.times, cyc.samples), lambda: cyc)
+    solved["switched"] = (switched, cyc.samples)
 
     if reference == "aer":
         ref_steady, ref_peak = (
             AER_INPUT_STEP if event.kind is StepKind.INPUT_VOLTAGE else AER_LOAD_STEP
         )
-        ref_wave = None
+        ref_samples = None
     else:
-        ref_m, _, own_wave = solved[reference]
+        ref_m, ref_samples = solved[reference]
         ref_steady, ref_peak = ref_m.v_steady, ref_m.v_max
-        ref_wave = own_wave()
 
     rows = []
     for model in MODEL_ROWS:
-        m, at, _ = solved[model]
-        scored = ref_wave is not None and model != reference
+        m, samples = solved[model]
+        scored = ref_samples is not None and model != reference
         rows.append(ModelRow(
             model=model, v_steady=m.v_steady, v_max=m.v_max, t_p=m.t_p,
             steady_error_pct=error_percent(ref_steady, m.v_steady),
             dynamic_error_pct=error_percent(ref_peak, m.v_max),
-            rmse_v=rmse(ref_wave.samples, at(ref_wave.times)) if scored else None,
+            rmse_v=rmse(ref_samples, samples) if scored else None,
             flags=m.flags,
         ))
     return ComparisonTable(event=event, reference=reference, rows=tuple(rows))

@@ -12,8 +12,9 @@ read it:
   ``converter.v_i`` and a load step starts at ``converter.r_0``.
 - ``solver`` (simulate, compare, audit, predict ``--waveform``):
   optionally ``t_end``, else each command picks its own horizon, and
-  ``steps_per_cycle`` (default 200), the one sampling knob: every waveform
-  is sampled every ``period / steps_per_cycle``.
+  ``steps_per_cycle`` (default 200): waveforms are sampled and switched runs
+  stepped every ``period / steps_per_cycle``.  Compare scores every row at
+  the switched run's cycle midpoints, whatever the reference.
 - ``sweep`` (sweep): ``axis1`` and ``axis2`` (``name``, ``lo``, ``hi``,
   ``n``, optionally ``log``); optionally ``model`` and ``metric``.
 - ``descent`` (descend): ``free``, an array of names; optionally

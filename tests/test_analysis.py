@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,22 +137,23 @@ class TestCompareModels:
             assert table.row(model) == want.row(model)
         assert table.row("avg-par").v_max == pytest.approx(table.row("fr").v_max, rel=1e-9)
 
-    def test_closed_forms_are_sampled_on_the_fine_grid_only_as_the_reference(
-            self, fast_params, monkeypatch):
-        calls = []
-        waveform = analysis.ClosedForm.waveform
+    @pytest.mark.parametrize("reference", ("aer",) + analysis.MODEL_ROWS)
+    def test_no_form_is_sampled_on_a_fine_grid(self, fast_params, monkeypatch, reference):
+        monkeypatch.setattr(analysis.ClosedForm, "waveform", fail)
+        table = analysis.compare_models(fast_params, cold_start(fast_params), reference=reference)
+        assert tuple(r.model for r in table.rows) == analysis.MODEL_ROWS
 
-        def counting(self, *args):
-            calls.append(args)
-            return waveform(self, *args)
-
-        monkeypatch.setattr(analysis.ClosedForm, "waveform", counting)
-        event = cold_start(fast_params)
-        analysis.compare_models(fast_params, event, reference="aer")
-        analysis.compare_models(fast_params, event)
-        assert calls == []
-        analysis.compare_models(fast_params, event, reference="ebm")
-        assert len(calls) == 1
+    @pytest.mark.parametrize("event", [
+        StepEvent(StepKind.INPUT_VOLTAGE, 0.0, 3.0),
+        # a load release 40.37 periods of fast_params in, an instant that is no sample
+        StepEvent(StepKind.LOAD_RESISTANCE, 20.0, 60.0, 40.37e-5),
+    ], ids=["cold-start", "late-load-step"])
+    def test_rmse_is_symmetric(self, fast_params, event):
+        # every row is scored on the one grid, so B against A is A against B, bit for bit
+        tables = {ref: analysis.compare_models(fast_params, event, reference=ref)
+                  for ref in analysis.MODEL_ROWS}
+        for a, b in itertools.combinations(analysis.MODEL_ROWS, 2):
+            assert tables[a].row(b).rmse_v == tables[b].row(a).rmse_v, (a, b)
 
     def test_default_horizon_settles_an_overdamped_design(self):
         # the slow real pole decays at ~2.6e3 /s, not at xi * w0 = 5e4 /s
@@ -183,6 +185,20 @@ class TestCompareWithoutGrids:
                       StepEvent(StepKind.LOAD_RESISTANCE, 20.0, 60.0, 2e-4)):
             table = analysis.compare_models(fast_params, event, reference=reference)
             assert tuple(r.model for r in table.rows) == analysis.MODEL_ROWS
+
+    def test_a_form_reference_holds_no_grid_but_the_cycle_means(self, fast_params):
+        # 5,000 cycles of 200 substeps: a form sampled at every substep would
+        # hold 1,000,001 floats, 8 MB, in each of its arrays
+        p = fast_params
+        tracemalloc.start()
+        try:
+            table = analysis.compare_models(p, cold_start(p), reference="tfm",
+                                            t_end=5000 * p.period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tuple(r.model for r in table.rows) == analysis.MODEL_ROWS
+        assert peak < 2 * 8 * oracle._DIP_CHECK_SIZE
 
     def test_switched_row_is_the_traces_cycle_averages(self, fast_params):
         # a load release that clamps, at an instant that is no sample
@@ -796,6 +812,15 @@ class TestSteepestDescent:
     def test_repeated_free_name_is_refused(self, line_params):
         with pytest.raises(ValueError, match="distinct"):
             analysis.steepest_descent(line_params, ["l", "l"])
+
+    def test_unsweepable_free_name_is_refused(self, line_params):
+        with pytest.raises(analysis.UnsupportedAxisPair, match="'f_sw' is not a sweepable"):
+            analysis.steepest_descent(line_params, ["l", "f_sw"])
+
+    def test_unknown_constraint_is_refused(self, line_params):
+        with pytest.raises(ValueError) as err:
+            analysis.steepest_descent(line_params, ["l", "c"], constraint="constant-peak")
+        assert str(analysis.CONSTRAINTS) in str(err.value)
 
     @pytest.mark.parametrize("budget", [math.nan, -0.5, math.inf, -math.inf])
     def test_budget_that_bounds_nothing_is_refused_before_any_solve(self, line_params,

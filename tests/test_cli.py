@@ -281,6 +281,26 @@ MALFORMED = {
 }
 
 
+#: (command, config, words of the message) of configs refused as a ConfigError:
+#: the config is the file's text, the blocks beside fast_params' converter, or
+#: None for no file at all
+CONFIG_ERRORS = {
+    "missing-file": ("predict", None, "config file not found"),
+    "invalid-json": ("predict", '{"converter": ', "config is not valid JSON"),
+    "non-object-root": ("predict", "[1, 2]", "config root must be a JSON object"),
+    "sweep-without-its-block": ("sweep", {}, "this command needs the sweep block"),
+    "load-step-not-from-r-0": ("predict", {"event": {"kind": "load_resistance",
+                                                     "value_before": 5.0, "value_after": 40.0}},
+                               "converter.r_0 must equal event.value_before"),
+    "axis-n-fractional": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "n": 3.5}}},
+                          "sweep.axis1.n: 3.5 is not an integer"),
+    "axis-log-text": ("sweep", {"sweep": {**SWEEP, "axis1": {**AXIS, "log": "yes"}}},
+                      "sweep.axis1.log: 'yes' is not true or false"),
+    "free-not-an-array": ("descend", {"descent": {"free": "l"}},
+                          "descent.free: 'l' is not an array of names"),
+}
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize("command, blocks", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_config_exits_two(self, fast_params, tmp_path, capsys, command, blocks):
@@ -322,6 +342,26 @@ class TestErrorContract:
             analysis.closed_form(line_params, event, "avg+par")
         assert json.loads(captured.err) == {
             "error": "ConfigError", "exit_code": 2, "message": str(refused.value)}
+
+    @pytest.mark.parametrize("command, config, words", CONFIG_ERRORS.values(),
+                             ids=CONFIG_ERRORS.keys())
+    def test_config_error_exits_two_naming_it(self, fast_params, tmp_path, capsys, command,
+                                              config, words):
+        if isinstance(config, dict):
+            path = write_config(tmp_path, fast_params, **config)
+        else:
+            path = tmp_path / "run.json"
+            if config is not None:
+                path.write_text(config)
+        assert cli.main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "message", "exit_code"}
+        assert (payload["error"], payload["exit_code"]) == ("ConfigError", 2)
+        assert words in payload["message"]
 
     def test_invalid_converter_names_every_violation(self, fast_params, tmp_path, capsys):
         config = Path(write_config(tmp_path, fast_params, event=COLD))

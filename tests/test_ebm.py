@@ -57,6 +57,11 @@ class TestOdeCoefficients:
         assert co.m0 == pytest.approx((1 - p.d) ** 2, rel=1e-13)
         assert co.forcing == pytest.approx((1 - p.d) * p.v_i, rel=1e-13)
 
+    @pytest.mark.parametrize("r_0", [0.0, -10.0])
+    def test_an_overriding_load_must_be_positive(self, r_0):
+        with pytest.raises(ValueError, match="load resistance must be > 0"):
+            ode_coefficients(params(), r_0=r_0)
+
     @given(valid_params)
     @settings(max_examples=200)
     def test_dc_limit_is_steady_output(self, p):
