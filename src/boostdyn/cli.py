@@ -41,7 +41,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -66,10 +65,12 @@ class ConfigError(ValueError):
 
 
 def _number(value: Any) -> float:
-    x = float(value)
-    if not math.isfinite(x):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    # exact for an int too, so one beyond the float range is refused, not an overflow
+    if not abs(value) <= sys.float_info.max:
         raise ValueError(f"{value!r} is not a finite number")
-    return x
+    return float(value)
 
 
 def _integer(value: Any) -> int:

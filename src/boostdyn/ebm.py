@@ -31,6 +31,9 @@ from .circuit import (
 )
 from .steady import steady_output
 
+_SCAN_INDEX = np.arange(257.0)  # ebm_metrics' scan grid over t_hi / 256; read-only
+_SCAN_INDEX.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class OdeCoefficients:
@@ -104,15 +107,16 @@ def _damped_pair(form: SecondOrderForm, t: np.ndarray):
     """(E, C, S) with E C = e^{-sigma t} cosh(delta t) and E S =
     e^{-sigma t} sinh(delta t)/delta, sigma = xi w0, delta^2 = (xi^2 - 1) w0^2.
 
-    Underdamped (delta = i wd), E = e^{-sigma t}, C = cos(wd t) and
-    S = sin(wd t)/wd; at exactly xi = 1, C = 1 and S = t.  Overdamped, E
-    decays at the slow pole delta - sigma = -w0^2/(sigma + delta), and C, S
-    carry e^{-delta t}: with expm1 they neither overflow nor cancel.
+    Underdamped (delta = i wd), E = e^{-sigma t}, C = cos(wd t) and S =
+    sin(wd t)/wd, the argument wd t formed once; at exactly xi = 1, C = 1
+    and S = t.  Overdamped, E decays at the slow pole -w0^2/(sigma + delta),
+    and C, S carry e^{-delta t}: with expm1 they neither overflow nor cancel.
     """
     sigma = form.xi * form.omega0
     if form.xi < 1.0:
         wd = form.omega_d
-        return np.exp(-sigma * t), np.cos(wd * t), np.sin(wd * t) / wd
+        wdt = wd * t
+        return np.exp(-sigma * t), np.cos(wdt), np.sin(wdt) / wd
     if form.xi == 1.0:
         return np.exp(-sigma * t), 1.0, t
     delta = form.omega0 * math.sqrt((form.xi - 1.0) * (form.xi + 1.0))
@@ -181,9 +185,9 @@ def ebm_metrics(form: SecondOrderForm) -> ResponseMetrics:
     """Steady value plus first transient extremum of the response.
 
     The first positive-to-negative zero of the analytic slope is bracketed
-    on 257 samples over one full damped period (20/omega0 for
-    non-oscillatory forms) and refined by bisection until
-    |dv/dt| < PEAK_SLOPE_TOL * omega0 * |v_inf| (``circuit._first_crossing``).
+    on 257 samples over one damped period (20/omega0 if it does not ring),
+    ``np.linspace``'s arithmetic on the shared ``_SCAN_INDEX``, then bisected
+    until |dv/dt| < PEAK_SLOPE_TOL * omega0 * |v_inf| (``circuit._first_crossing``).
     Monotone responses report v_max = v_inf with t_p absent.
     """
     vinf = form.v_inf
@@ -197,8 +201,9 @@ def ebm_metrics(form: SecondOrderForm) -> ResponseMetrics:
         t_hi = 20.0 / form.omega0
     flags: tuple[str, ...] = ("overdamped",) if form.overdamped else ()
     tol = PEAK_SLOPE_TOL * form.omega0 * max(abs(vinf), 1e-30)
-    t_p = _first_crossing(partial(response_slope, form), np.linspace(0.0, t_hi, 257),
-                          tol, rising=True)
+    ts = _SCAN_INDEX * (t_hi / 256)
+    ts[-1] = t_hi
+    t_p = _first_crossing(partial(response_slope, form), ts, tol, rising=True)
     if t_p is None:
         return ResponseMetrics(vinf, vinf, None, flags=flags + ("no-peak",))
     return ResponseMetrics(vinf, float(ebm_response(form, t_p)), t_p, flags=flags)

@@ -301,6 +301,19 @@ CONFIG_ERRORS = {
 }
 
 
+#: (key path, command, value) of JSON values that are not a number where a
+#: number belongs: booleans, strings, and an integer beyond the float range
+NOT_NUMBERS = [
+    ("converter.v_i", "predict", True),
+    ("converter.f_sw", "predict", "10000"),
+    ("event.value_before", "predict", False),
+    ("solver.t_end", "simulate", "0.01"),
+    ("solver.steps_per_cycle", "simulate", "200"),
+    ("sweep.axis1.n", "sweep", True),
+    ("converter.f_sw", "predict", 10 ** 400),
+]
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize("command, blocks", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_config_exits_two(self, fast_params, tmp_path, capsys, command, blocks):
@@ -313,6 +326,29 @@ class TestConfigSchema:
         payload = json.loads(lines[0])
         assert set(payload) == {"error", "message", "exit_code"}
         assert payload["exit_code"] == 2
+
+    @pytest.mark.parametrize("key, command, value", NOT_NUMBERS,
+                             ids=[f"{key}-{type(value).__name__}" for key, _, value in NOT_NUMBERS])
+    def test_a_number_must_be_a_json_number(self, fast_params, tmp_path, capsys, key, command,
+                                            value):
+        cfg = {"converter": {name: getattr(fast_params, name) for name in CONVERTER_KEYS},
+               "event": dict(COLD), "solver": {"t_end": 30 * fast_params.period},
+               "sweep": {**SWEEP, "axis1": dict(AXIS)}}
+        *blocks, name = key.split(".")
+        block = cfg
+        for b in blocks:
+            block = block[b]
+        block[name] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["error"], payload["exit_code"]) == ("ConfigError", 2)
+        assert payload["message"].startswith(f"{key}: ")
 
     def test_null_is_an_absent_key(self, line_params, tmp_path, capsys):
         event = {"kind": "input_voltage", "value_before": 1.0, "value_after": line_params.v_i}

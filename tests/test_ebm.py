@@ -1,13 +1,16 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boostdyn.circuit import ConverterParams
+from boostdyn import ebm
+from boostdyn.circuit import PEAK_SLOPE_TOL, ConverterParams, ResponseMetrics, _first_crossing
 from boostdyn.ebm import (
     OdeCoefficients,
+    SecondOrderForm,
     ebm_metrics,
     ebm_response,
     initial_slope_for_load_step,
@@ -260,3 +263,113 @@ class TestMetrics:
         flat = dataclasses.replace(lifted, dv0=0.0)
         assert lifted.dv0 > 0.0
         assert ebm_metrics(lifted).v_max >= ebm_metrics(flat).v_max
+
+
+def parent_pair(form, t):
+    """``ebm._damped_pair`` as it was before the shared products: wd t
+    formed once for the cosine and again for the sine."""
+    sigma = form.xi * form.omega0
+    if form.xi < 1.0:
+        wd = form.omega_d
+        return np.exp(-sigma * t), np.cos(wd * t), np.sin(wd * t) / wd
+    if form.xi == 1.0:
+        return np.exp(-sigma * t), 1.0, t
+    delta = form.omega0 * math.sqrt((form.xi - 1.0) * (form.xi + 1.0))
+    rise = -np.expm1(-2.0 * delta * t)
+    return (np.exp(-form.omega0 ** 2 / (sigma + delta) * t), 1.0 - 0.5 * rise,
+            rise / (2.0 * delta))
+
+
+def parent_metrics(form):
+    """``ebm_metrics`` as it was before the shared products: an
+    ``np.linspace`` scan built on every solve, over ``parent_pair``."""
+    vinf = form.v_inf
+    scale = max(abs(vinf), abs(form.v0), 1e-30)
+    if abs(form.v0 - vinf) < 1e-12 * scale and abs(form.dv0) < 1e-12 * scale * form.omega0:
+        return ResponseMetrics(vinf, vinf, None, flags=("no-peak",))
+    t_hi = 2.0 * math.pi / form.omega_d if form.xi < 1.0 else 20.0 / form.omega0
+    flags = ("overdamped",) if form.overdamped else ()
+    tol = PEAK_SLOPE_TOL * form.omega0 * max(abs(vinf), 1e-30)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ebm, "_damped_pair", parent_pair)
+        t_p = _first_crossing(partial(response_slope, form), np.linspace(0.0, t_hi, 257),
+                              tol, rising=True)
+        if t_p is None:
+            return ResponseMetrics(vinf, vinf, None, flags=flags + ("no-peak",))
+        return ResponseMetrics(vinf, float(ebm_response(form, t_p)), t_p, flags=flags)
+
+
+def scan_of(form):
+    """The grid ``ebm_metrics`` hands ``_first_crossing`` for ``form``."""
+    grids = []
+
+    def spy(slope, ts, tol, rising):
+        grids.append(ts.copy())
+        return _first_crossing(slope, ts, tol, rising)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ebm, "_first_crossing", spy)
+        ebm_metrics(form)
+    assert len(grids) == 1
+    return grids[0]
+
+
+def bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+#: damping ratios: ringing, exactly critical, within 1e-9 of it either way, overdamped
+DAMPING = st.one_of(st.floats(0.01, 0.999), st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9]),
+                    st.floats(1.001, 50.0))
+
+
+@st.composite
+def step_forms(draw):
+    """Cold (from rest), warm (from another level, at rest) and load-step
+    (from another level, moving) forms at every damping of ``DAMPING``."""
+    w0 = draw(st.floats(1e2, 1e6))
+    v_inf = draw(st.floats(0.5, 40.0))
+    start = draw(st.sampled_from(["cold", "warm", "load"]))
+    v0 = 0.0 if start == "cold" else v_inf * draw(st.floats(0.1, 1.9))
+    dv0 = w0 * v_inf * draw(st.floats(-2.0, 2.0)) if start == "load" else 0.0
+    return SecondOrderForm(xi=draw(DAMPING), omega0=w0, v_inf=v_inf, v0=v0, dv0=dv0)
+
+
+class TestSharedScan:
+    """The peak search's shared products leave every answer bit for bit."""
+
+    @given(u=st.floats(-9.0, 6.0), xi=st.sampled_from([0.3, 2.0]))
+    @settings(max_examples=200, derandomize=True)
+    def test_grid_is_linspace_bit_for_bit(self, u, xi):
+        # omega0 puts the scan's end, one damped period or 20/omega0, at 10**u
+        t_end = 10.0 ** u
+        w0 = 2.0 * math.pi / (t_end * math.sqrt(1.0 - xi * xi)) if xi < 1.0 else 20.0 / t_end
+        form = SecondOrderForm(xi=xi, omega0=w0, v_inf=5.0, v0=0.0, dv0=0.0)
+        t_hi = 2.0 * math.pi / form.omega_d if xi < 1.0 else 20.0 / form.omega0
+        grid = scan_of(form)
+        assert grid[-1] == t_hi
+        assert bits(grid) == bits(np.linspace(0.0, t_hi, 257))
+
+    @given(step_forms())
+    @settings(max_examples=400, derandomize=True)
+    def test_metrics_equal_the_parent_search(self, form):
+        assert ebm_metrics(form) == parent_metrics(form)
+
+    @pytest.mark.parametrize("xi", [0.2, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 3.0])
+    @pytest.mark.parametrize("v0, dv0", [(0.0, 0.0), (2.0, 0.0), (2.0, 3e4)],
+                             ids=["cold", "warm", "load"])
+    def test_metrics_equal_the_parent_search_on_the_line_bench(self, line_params, xi, v0, dv0):
+        form = to_standard_form(damped_coefficients(line_params, xi), v0, dv0)
+        assert ebm_metrics(form) == parent_metrics(form)
+
+    def test_shared_index_is_read_only_and_unchanged(self, line_params, load_params):
+        index = ebm._SCAN_INDEX
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1.0
+        for xi in (0.05, 0.5, 1.0, 1.5, 20.0):
+            for v0, dv0 in ((0.0, 0.0), (2.0, 0.0), (2.0, 3e4)):
+                ebm_metrics(to_standard_form(damped_coefficients(line_params, xi), v0, dv0))
+        ebm_metrics(load_step_form(load_params, 10.0, 150.0))
+        assert ebm._SCAN_INDEX is index and not index.flags.writeable
+        assert bits(index) == bits(np.arange(257.0))
