@@ -7,9 +7,9 @@ response; ``closed_form_metrics``, ``compare_models`` and the CLI all use it.
 ``compare_models`` scores every row on one grid, the switched run's cycle
 midpoints, where its switched row is the cycle means and each form (the
 averaged rows are exact two-pole forms too) is evaluated exactly.
-``_cold_start`` is the one place that evaluates a cold start, of one design
-or of field arrays, for sweeps and descents.  Every workflow takes every
-model of ``CLOSED_FORMS``.
+``_cold_start`` evaluates every cold start of sweeps and descents, of one
+design or of field arrays, each model on its own kernel with no event or
+record.  Every workflow takes every model of ``CLOSED_FORMS``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .circuit import (
     StepKind,
     Waveform,
     _FIELD_TESTS,
+    _IDEAL_PARASITICS,
     _check_fields,
+    _uniform_times,
     parasitic_free,
 )
 from .oracle import averaged_step_form, switched_cycle_means
@@ -46,8 +48,6 @@ AER_LOAD_STEP = (8.80, 13.43)
 CLOSED_FORMS = ("ebm", "tfm", "fr")
 SWEEP_AXES = ("v_i", "d", "l", "c", "r_0", "r_l", "r_c", "r_m", "v_d")
 SWEEP_METRICS = ("v_max", "v_steady", "t_p")
-#: the fields of one sweep cell, unchecked: Python floats, as a record holds them
-_Cell = NamedTuple("_Cell", [(name, float) for name in FIELD_RULES])
 
 
 class ZeroReference(ModelDomainError):
@@ -155,7 +155,7 @@ class ClosedForm(NamedTuple):
 
     def waveform(self, t_event: float, dt: float, t_end: float) -> Waveform:
         """The response sampled every ``dt`` from 0 to ``t_end``."""
-        return Waveform(0.0, dt, self.at(dt * np.arange(int(round(t_end / dt)) + 1), t_event))
+        return Waveform(0.0, dt, self.at(_uniform_times(int(round(t_end / dt)) + 1, dt), t_event))
 
 
 def _second_order_tf(tf: tfm_line.SecondOrderTF, base: float, k: float) -> ClosedForm:
@@ -356,7 +356,7 @@ class SweepAxis:
     log: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise ValueError(f"axis {self.name!r} needs an integer n, not {self.n!r}")
         for bound in ("lo", "hi"):
             value = getattr(self, bound)
@@ -386,36 +386,29 @@ class SweepGrid:
 
 
 def _cold_start(q, model: str, metric: str):
-    """``metric`` ("v_steady", "v_max" or "t_p") of the cold start of ``q``,
-    an input step from 0 to ``q.v_i``; NaN where it has no value (t_p of a
-    peak-free response).  ``q`` is a record or any object that carries its
-    fields: all numbers, one design, or all arrays that broadcast, whose
-    shape the answer then has.  The TFM kernel and the EBM's steady value,
-    forcing / m0 of its ODE with no transient solved (NaN where m2 or m0 is
-    not positive, which the standard form refuses), take whole arrays.
-    Every other pair solves design by design through ``closed_form_metrics``,
-    which refuses any other model: one design raises where it is refused,
-    while a cell of arrays is NaN there, and NaN unsolved where a field is.
+    """``metric`` ("v_steady", "v_max" or "t_p") of the cold start of ``q`` by
+    ``model``, an input step from 0 to ``q.v_i``; NaN where it has no value.
+    ``q`` carries the fields: one design's numbers, or arrays that broadcast,
+    whose shape the answer then has.  The TFM and FR (the ideal fields) run
+    on the line kernel, the EBM on its ODE coefficients, NaN where m2 or m0
+    is not positive.  Only the EBM peak search goes design by design: one
+    design raises where it is refused, a cell of arrays is NaN there.
     """
-    if model == "tfm":
+    if model == "fr":
+        q = SimpleNamespace(**{**{n: getattr(q, n) for n in FIELD_RULES}, **_IDEAL_PARASITICS})
+    if model != "ebm":
         solved = tfm_line.line_step_metrics(tfm_line.line_tf_coefficients(q), 0.0, q.v_i)
         return dict(zip(("v_steady", "v_max", "t_p"), solved))[metric]
-    if model == "ebm" and metric == "v_steady":
-        co = ebm.ode_coefficients(q)
-        return np.where((co.m2 > 0.0) & (co.m0 > 0.0), co.forcing / co.m0, np.nan)[()]
-    if not isinstance(q.v_i, np.ndarray):
-        m = closed_form_metrics(q, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, q.v_i), model)
-        value = getattr(m, metric)
-        return math.nan if value is None else value
-    grid = np.broadcast_arrays(*(getattr(q, name) for name in FIELD_RULES))
-    values = np.full(grid[0].shape, np.nan)
-    for k, cell in enumerate(zip(*(x.ravel().tolist() for x in grid))):
-        try:
-            if not any(map(math.isnan, cell)):
-                values.flat[k] = _cold_start(_Cell._make(cell), model, metric)
-        except (ValueError, ModelDomainError):
-            pass
-    return values
+    co = ebm.ode_coefficients(q)
+    steady = np.where((co.m2 > 0.0) & (co.m0 > 0.0), co.forcing / co.m0, np.nan)
+    if metric == "v_steady":
+        return steady[()]
+    solve = np.isfinite(steady) | (steady.ndim == 0)
+    cells = zip(*(x[solve].tolist() for x in np.broadcast_arrays(co.m2, co.m1, co.m0, co.forcing)))
+    forms = (ebm.to_standard_form(ebm.OdeCoefficients(*cell), 0.0, 0.0) for cell in cells)
+    values = np.full(steady.shape, np.nan)
+    values[solve] = [getattr(ebm.ebm_metrics(form), metric) for form in forms]  # None as NaN
+    return values[()]
 
 
 def _checked_values(axis: SweepAxis) -> np.ndarray:
@@ -436,12 +429,11 @@ def sweep(
 
     ``metric`` (one of SWEEP_METRICS) of a cold start by ``model`` (one of
     CLOSED_FORMS), each checked before any solve, as ``closed_form_metrics``
-    gives it for each cell.  The axis values are checked once, each by its
-    own field's rules (``circuit.FIELD_RULES``), and the grid is one
-    ``_cold_start`` call on field arrays, which solves on field sets, never
-    records.  Cells whose parameters make no valid record, land outside a
-    model's domain or have no value (t_p of a peak-free response) are NaN
-    and marked invalid, never interpolated.
+    gives it for each cell's record.  The axis values are checked once, each
+    by its own field's rules (``circuit.FIELD_RULES``), and the grid is one
+    ``_cold_start`` call on field arrays.  Cells that make no valid record,
+    land outside a model's domain or have no value (t_p of a peak-free
+    response) are NaN and marked invalid, never interpolated.
     """
     if axis1.name not in SWEEP_AXES or axis2.name not in SWEEP_AXES:
         raise UnsupportedAxisPair(f"axes must be drawn from {SWEEP_AXES}")
@@ -530,7 +522,7 @@ def steepest_descent(
     log-parameter space.  A probe is no record: it is the current design's
     fields with one value moved, checked by that field's own rules (a
     refused probe raises ParameterError) and solved by ``_cold_start``,
-    which sends the TFM straight to its line kernel.  Each move starts at 5
+    which sends each model straight to its own kernel.  Each move starts at 5
     percent of the current magnitudes and is halved until the (projected)
     step strictly lowers the peak; an accepted move is a record, a
     DescentStep.  Constraints are enforced by projection after every step.
@@ -544,7 +536,8 @@ def steepest_descent(
             raise UnsupportedAxisPair(f"{name!r} is not a sweepable parameter")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}")
-    if not isinstance(max_steps, numbers.Integral) or max_steps < 0:
+    _check_model(model)
+    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) or max_steps < 0:
         raise ValueError(f"max_steps must be an integer >= 0, not {max_steps!r}")
     # min(r_l, nan) keeps r_l, so a NaN budget would bound nothing
     if r_l_budget is not None and not 0.0 <= r_l_budget < math.inf:
@@ -553,8 +546,7 @@ def steepest_descent(
     targets = (steady_output(p), p.l * p.c, p.r_l if r_l_budget is None else r_l_budget)
 
     def objective(q) -> float:
-        # the TFM kernel answers numpy scalars; a DescentStep holds a float
-        return float(_cold_start(q, model, "v_max"))
+        return float(_cold_start(q, model, "v_max"))  # a DescentStep holds a float
 
     def probe(fields: dict, name: str, s: float) -> float:
         """The peak of ``fields`` with the value of ``name`` scaled by e^s."""

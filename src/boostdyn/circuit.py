@@ -107,6 +107,9 @@ _ALL_HOLD = eval("lambda p: " + " and ".join(
     f"({test.format(x='p.' + name)}) and isfinite(p.{name})"
     for name, (_, test) in FIELD_RULES.items()), {"isfinite": isfinite})
 
+#: the parasitic fields of the ideal converter, each 0
+_IDEAL_PARASITICS = {"r_l": 0.0, "r_c": 0.0, "r_m": 0.0, "v_d": 0.0}
+
 
 def field_violations(values: Mapping[str, float]) -> list[tuple[str, str]]:
     """The invariants broken by ``values``, field names mapped to values.
@@ -144,9 +147,9 @@ def validate_params(p: ConverterParams) -> ConverterParams:
 
 def parasitic_free(q) -> ConverterParams:
     """The ideal converter: the record of the fields of ``q``, a record or
-    any object that carries them, with r_l, r_c, r_m and v_d set to 0."""
+    any object that carries them, with ``_IDEAL_PARASITICS`` set."""
     values = {f.name: getattr(q, f.name) for f in fields(ConverterParams)}
-    return ConverterParams(**{**values, "r_l": 0.0, "r_c": 0.0, "r_m": 0.0, "v_d": 0.0})
+    return ConverterParams(**{**values, **_IDEAL_PARASITICS})
 
 
 class StepKind(Enum):
@@ -208,10 +211,13 @@ class Waveform:
 
     @property
     def times(self) -> np.ndarray:
-        # t0 + dt * arange(n) bit for bit, in place: only the result is held
-        t = np.arange(self.samples.size, dtype=float)
-        t *= self.dt
-        return np.add(t, self.t0, out=t)
+        return _uniform_times(self.samples.size, self.dt, self.t0)
+
+
+def _uniform_times(n: int, dt: float, t0: float = 0.0) -> np.ndarray:
+    """t0 + dt * arange(n) bit for bit, built in place: only the result is held."""
+    t = np.arange(n, dtype=float)
+    return np.add(np.multiply(t, dt, out=t), t0, out=t)
 
 
 @dataclass(frozen=True, slots=True)

@@ -392,6 +392,16 @@ class TestClosedForm:
         assert len(wave) == int(round(0.02 / 1e-5)) + 1
         assert np.all(wave.samples == level)
 
+    def test_waveform_times_are_the_integer_grid_times(self):
+        # the float times built in place are dt * arange(n + 1), an int64
+        # array times dt, bit for bit
+        rng = np.random.default_rng(20_000)
+        identity = analysis.ClosedForm(None, 0.0, lambda t: t)
+        for dt, n in zip((10.0 ** rng.uniform(-9.0, 1.0, 20_000)).tolist(),
+                         rng.integers(0, 300, 20_000).tolist()):
+            wave = identity.waveform(0.0, dt, n * dt)
+            assert wave.samples.tobytes() == (dt * np.arange(len(wave))).tobytes()
+
     def test_load_step_metrics_and_waveform_share_one_solve(self, load_params):
         event = StepEvent(StepKind.LOAD_RESISTANCE, 10.0, 150.0)
         solved = analysis.closed_form(load_params, event, "tfm")
@@ -448,7 +458,7 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"axis 'd' needs a finite {bound}, not {value!r}"):
             analysis.SweepAxis("d", n=3, log=log, **bounds)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, math.nan, "3"])
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.nan, "3", True])
     def test_non_integer_count_is_refused_by_name(self, n):
         with pytest.raises(ValueError, match=f"axis 'd' needs an integer n, not {n!r}"):
             analysis.SweepAxis("d", 0.2, 0.8, n)
@@ -471,7 +481,7 @@ class TestSweep:
         def fail(*args):
             raise AssertionError("a cell was evaluated")
 
-        monkeypatch.setattr(analysis, "closed_form_metrics", fail)
+        monkeypatch.setattr(ebm, "ode_coefficients", fail)
         axis_c = analysis.SweepAxis("c", 20e-6, 80e-6, 4)
         with pytest.raises(ValueError, match="vmax"):
             analysis.sweep(line_params, self.AXIS_L, axis_c, model="ebm", metric="vmax")
@@ -487,24 +497,26 @@ class TestSweep:
 
     def test_cells_run_on_the_calling_thread(self, line_params, monkeypatch):
         threads = set()
-        metrics = analysis.closed_form_metrics
+        metrics = ebm.ebm_metrics
 
         def recording(*args):
             threads.add(threading.get_ident())
             return metrics(*args)
 
-        monkeypatch.setattr(analysis, "closed_form_metrics", recording)
+        monkeypatch.setattr(ebm, "ebm_metrics", recording)
         axis_c = analysis.SweepAxis("c", 20e-6, 80e-6, 4)
         assert analysis.sweep(line_params, self.AXIS_L, axis_c, model="ebm").valid.all()
         assert threads == {threading.get_ident()}
 
-    def test_tfm_sweep_makes_no_scalar_calls(self, line_params, monkeypatch):
-        def fail(*args):
-            raise AssertionError("a cell was solved on its own")
-
-        monkeypatch.setattr(analysis, "closed_form_metrics", fail)
+    @pytest.mark.parametrize("model", ["tfm", "fr"])
+    def test_line_tf_sweep_is_one_kernel_call(self, line_params, monkeypatch, model):
+        solves = []
+        metrics = tfm_line.line_step_metrics
+        monkeypatch.setattr(tfm_line, "line_step_metrics",
+                            lambda *args: solves.append(args) or metrics(*args))
         axis_c = analysis.SweepAxis("c", 20e-6, 80e-6, 4)
-        assert analysis.sweep(line_params, self.AXIS_L, axis_c).valid.all()
+        assert analysis.sweep(line_params, self.AXIS_L, axis_c, model=model).valid.all()
+        assert len(solves) == 1
 
 
 def scalar_grid(p, axis1, axis2, metric, model="tfm"):
@@ -576,8 +588,8 @@ class TestTfmSweepParity:
 
 
 class TestEbmSweepParity:
-    """The EBM steady value is one array expression, its peak one field set
-    per cell; both are bitwise the scalar closed form of a record."""
+    """The EBM steady value is one array expression, its peak one set of ODE
+    coefficients per cell; both are bitwise the scalar closed form of a record."""
 
     AXES = {
         **TestTfmSweepParity.AXES,
@@ -621,8 +633,8 @@ class TestEbmSweepParity:
 
 
 class TestFrSweepParity:
-    """FR sweeps cell by cell through ``closed_form``, as it solves one
-    design: bitwise the scalar closed form of a record."""
+    """FR sweeps on the line kernel with the ideal fields, in one call:
+    bitwise the scalar closed form of a record."""
 
     @pytest.mark.parametrize("metric", analysis.SWEEP_METRICS)
     @pytest.mark.parametrize("axes", TestTfmSweepParity.AXES.values(),
@@ -639,6 +651,17 @@ class TestFrSweepParity:
         tfm = analysis.sweep(circuit.parasitic_free(line_params), *axes, metric=metric)
         assert fr.valid.all() or metric == "t_p"
         assert np.array_equal(fr.values, tfm.values, equal_nan=True)
+
+    @pytest.mark.parametrize("metric", analysis.SWEEP_METRICS)
+    def test_fr_sweep_builds_no_record_and_no_event(self, line_params, monkeypatch, metric):
+        # FR solves its grid on the ideal fields in one kernel call
+        monkeypatch.setattr(circuit, "validate_params", fail)
+        monkeypatch.setattr(analysis, "closed_form_metrics", fail)
+        monkeypatch.setattr(analysis, "closed_form", fail)
+        monkeypatch.setattr(analysis, "StepEvent", fail)
+        axes = TestTfmSweepParity.AXES["duty-past-one"]
+        grid = analysis.sweep(line_params, *axes, model="fr", metric=metric)
+        assert grid.valid.any() and not grid.valid.all()
 
     def test_unknown_model_is_refused_before_any_solve(self, line_params, monkeypatch):
         for module, name in ((analysis, "closed_form_metrics"), (analysis, "closed_form"),
@@ -672,7 +695,7 @@ class TestColdStart:
             assert got[i, j] == analysis._cold_start(q, "ebm", metric)
 
     @pytest.mark.parametrize("model, field, value, error", [
-        ("fr", "d", 1.2, ParameterError),  # FR solves the record of its ideal converter
+        ("fr", "v_i", 0.0, tfm_line.ZeroInputVoltage),  # the diode correction divides by v_i
         ("ebm", "l", -1e-3, ValueError),   # m2 < 0, which the standard form refuses
     ])
     def test_a_refused_design_raises_and_its_cell_is_nan(self, line_params, model, field,
@@ -688,12 +711,12 @@ class TestColdStart:
 
     def test_a_nan_cell_is_not_solved(self, line_params, monkeypatch):
         solved = []
-        metrics = analysis.closed_form_metrics
-        monkeypatch.setattr(analysis, "closed_form_metrics",
-                            lambda q, *args: solved.append(q.c) or metrics(q, *args))
+        metrics = ebm.ebm_metrics
+        monkeypatch.setattr(ebm, "ebm_metrics", lambda form: solved.append(form) or metrics(form))
         got = analysis._cold_start(field_arrays(line_params, c=np.array([42e-6, math.nan])),
                                    "ebm", "v_max")
-        assert solved == [42e-6] and np.isnan(got[1]) and math.isfinite(got[0])
+        assert solved == [ebm.startup_form(line_params)]
+        assert np.isnan(got[1]) and math.isfinite(got[0])
 
 
 class TestSlottedRecords:
@@ -858,7 +881,7 @@ class TestSteepestDescent:
         # the solves are the start and two probes per free axis per step
         assert len(solves) - len(records) == 1 + 2 * len(free) * 8
 
-    @pytest.mark.parametrize("max_steps", [2.5, math.nan, 3.0])
+    @pytest.mark.parametrize("max_steps", [2.5, math.nan, 3.0, True])
     def test_non_integer_max_steps_is_refused_by_name(self, line_params, monkeypatch,
                                                       max_steps):
         unsolved(monkeypatch)
@@ -896,7 +919,7 @@ def unsolved(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a closed form was solved")
 
-    for module, name in ((tfm_line, "line_tf_coefficients"), (ebm, "startup_form")):
+    for module, name in ((tfm_line, "line_tf_coefficients"), (ebm, "ode_coefficients")):
         monkeypatch.setattr(module, name, fail)
 
 
@@ -948,7 +971,7 @@ def bits(steps):
 class TestRecordFreeDescent:
     """Probes as field sets walk the path that records per probe walked."""
 
-    @pytest.mark.parametrize("model", ["tfm", "ebm"])
+    @pytest.mark.parametrize("model", ["tfm", "ebm", "fr"])
     @pytest.mark.parametrize("constraint", analysis.CONSTRAINTS)
     @pytest.mark.parametrize("design, free", DESCENT_PATHS)
     def test_every_step_is_bitwise_the_record_descent(self, request, design, free,
