@@ -32,7 +32,6 @@ from .circuit import (
     StepEvent,
     StepKind,
     Waveform,
-    _FIELD_TESTS,
     _IDEAL_PARASITICS,
     _check_fields,
     _uniform_times,
@@ -413,8 +412,9 @@ def _cold_start(q, model: str, metric: str):
 
 def _checked_values(axis: SweepAxis) -> np.ndarray:
     """The axis values, NaN where they break the axis field's own rules."""
-    test = _FIELD_TESTS[axis.name]
-    return np.array([x if test(x) and math.isfinite(x) else math.nan
+    holds = FIELD_RULES[axis.name][1]
+    # Python floats, so math.isfinite is exact: no bool or int beyond the float range
+    return np.array([x if holds(x) and math.isfinite(x) else math.nan
                      for x in axis.values.tolist()])
 
 

@@ -6,10 +6,9 @@ No implicit milli/micro scaling anywhere in the library.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from math import isfinite
 from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
@@ -79,33 +78,29 @@ class ConverterParams:
 
 
 #: The record invariants, one rule per field: the violation a value raises
-#: unless the test, a Python expression in the value ``{x}``, holds.  A value
-#: must also be finite, or it raises NonFiniteValue too.  Every invariant
-#: reads one field, so a design that differs from a valid record in k fields
-#: is valid when those k pass.
-FIELD_RULES: dict[str, tuple[str, str]] = {
-    "l": ("NonPositiveComponent", "{x} > 0"),
-    "c": ("NonPositiveComponent", "{x} > 0"),
-    "r_0": ("NonPositiveComponent", "{x} > 0"),
-    "f_sw": ("NonPositiveComponent", "{x} > 0"),
-    "r_l": ("NegativeParasitic", "not {x} < 0"),
-    "r_c": ("NegativeParasitic", "not {x} < 0"),
-    "r_m": ("NegativeParasitic", "not {x} < 0"),
-    "v_d": ("NegativeParasitic", "not {x} < 0"),
-    "v_i": ("NegativeParasitic", "not {x} < 0"),
-    "d": ("DutyOutOfRange", "0.0 < {x} < 1.0"),
+#: unless the predicate holds of it.  A value must also be a finite number,
+#: not a bool, or it raises NonFiniteValue too.  Every invariant reads one
+#: field, so a design that differs from a valid record in k fields is valid
+#: when those k pass.
+FIELD_RULES: dict[str, tuple[str, Callable[[float], bool]]] = {
+    "l": ("NonPositiveComponent", lambda x: x > 0),
+    "c": ("NonPositiveComponent", lambda x: x > 0),
+    "r_0": ("NonPositiveComponent", lambda x: x > 0),
+    "f_sw": ("NonPositiveComponent", lambda x: x > 0),
+    "r_l": ("NegativeParasitic", lambda x: not x < 0),
+    "r_c": ("NegativeParasitic", lambda x: not x < 0),
+    "r_m": ("NegativeParasitic", lambda x: not x < 0),
+    "v_d": ("NegativeParasitic", lambda x: not x < 0),
+    "v_i": ("NegativeParasitic", lambda x: not x < 0),
+    "d": ("DutyOutOfRange", lambda x: 0.0 < x < 1.0),
 }
 
-#: field -> its rule's test, as a function of the value
-_FIELD_TESTS = {name: eval(f"lambda x: {test.format(x='x')}")
-                for name, (_, test) in FIELD_RULES.items()}
 
-#: Every rule and finiteness of a whole design ``p`` as one expression of
-#: attribute loads and comparisons: the check that every record makes, with
-#: no function call per field.
-_ALL_HOLD = eval("lambda p: " + " and ".join(
-    f"({test.format(x='p.' + name)}) and isfinite(p.{name})"
-    for name, (_, test) in FIELD_RULES.items()), {"isfinite": isfinite})
+def _finite(x) -> bool:
+    """Whether ``x`` is a finite number and no bool: exact for an int beyond
+    the float range, where ``math.isfinite`` would overflow."""
+    return not isinstance(x, (bool, np.bool_)) and abs(x) <= sys.float_info.max
+
 
 #: the parasitic fields of the ideal converter, each 0
 _IDEAL_PARASITICS = {"r_l": 0.0, "r_c": 0.0, "r_m": 0.0, "v_d": 0.0}
@@ -117,10 +112,10 @@ def field_violations(values: Mapping[str, float]) -> list[tuple[str, str]]:
     They are in the order ParameterError names them: the rule violations in
     the order of FIELD_RULES, then NonFiniteValue in the record's field order.
     """
-    broken = [(code, name) for name, (code, _) in FIELD_RULES.items()
-              if name in values and not _FIELD_TESTS[name](values[name])]
+    broken = [(code, name) for name, (code, holds) in FIELD_RULES.items()
+              if name in values and not holds(values[name])]
     return broken + [("NonFiniteValue", f.name) for f in fields(ConverterParams)
-                     if f.name in values and not isfinite(values[f.name])]
+                     if f.name in values and not _finite(values[f.name])]
 
 
 def _check_fields(q, names: Collection[str]) -> None:
@@ -129,19 +124,18 @@ def _check_fields(q, names: Collection[str]) -> None:
     is checked by its own rules and no other."""
     for name in names:
         x = getattr(q, name)
-        if not (_FIELD_TESTS[name](x) and isfinite(x)):
+        if not (FIELD_RULES[name][1](x) and _finite(x)):
             raise ParameterError(field_violations({n: getattr(q, n) for n in names}))
 
 
 def validate_params(p: ConverterParams) -> ConverterParams:
     """Return ``p`` unchanged if every invariant holds, else raise ParameterError.
 
-    Each field is checked by its rules in FIELD_RULES, and all violations
-    are collected before raising, so a caller sees every problem at once.
+    Every field is checked by its rule in FIELD_RULES through ``_check_fields``,
+    as a descent probe is, and all violations are collected before raising.
     ``ConverterParams`` runs it on every record it builds.
     """
-    if not _ALL_HOLD(p):
-        _check_fields(p, FIELD_RULES)
+    _check_fields(p, FIELD_RULES)
     return p
 
 
@@ -168,9 +162,11 @@ class StepEvent:
     t_event: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, StepKind):
+            raise ValueError(f"kind must be a StepKind, not {self.kind!r}")
         for name in ("value_before", "value_after", "t_event"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.t_event < 0:
             raise ValueError("t_event must be >= 0")
         if self.value_before < 0:

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from boostdyn.analysis import SWEEP_AXES, SweepAxis, _checked_values
 from boostdyn.circuit import (
     ConverterParams,
     ParameterError,
@@ -24,6 +25,41 @@ from boostdyn.circuit import (
 
 def codes(err: ParameterError) -> set[tuple[str, str]]:
     return set(err.violations)
+
+
+#: the record's fields in its own order, the order NonFiniteValue names them in
+RECORD_FIELDS = [f.name for f in dataclasses.fields(ConverterParams)]
+#: the largest finite float, (2 - 2^-52) 2^1023
+FLOAT_MAX = (2 - 2**-52) * 2.0**1023
+
+
+def stated_violations(values: dict) -> list[tuple[str, str]]:
+    """The invariants that ``values`` break, stated here apart from the
+    library's table: l, c, r_0 and f_sw > 0; r_l, r_c, r_m, v_d and v_i
+    not < 0; 0 < d < 1; each value an int or float, no bool, of the float
+    range.  Rule violations come in that order, then NonFiniteValue."""
+    broken = [("NonPositiveComponent", n) for n in ("l", "c", "r_0", "f_sw")
+              if n in values and not values[n] > 0]
+    broken += [("NegativeParasitic", n) for n in ("r_l", "r_c", "r_m", "v_d", "v_i")
+               if n in values and values[n] < 0]
+    if "d" in values and not 0.0 < values["d"] < 1.0:
+        broken.append(("DutyOutOfRange", "d"))
+
+    def finite(x) -> bool:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return False
+        return -FLOAT_MAX <= x <= FLOAT_MAX
+
+    return broken + [("NonFiniteValue", n) for n in RECORD_FIELDS
+                     if n in values and not finite(values[n])]
+
+
+#: numbers that are no finite float: bools, and ints beyond the float range
+NOT_FLOATS = [pytest.param(True, id="True"), pytest.param(np.True_, id="numpy.True_"),
+              pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+#: values at and around every rule's edges, and the numbers above
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 3.0,
+               -2.0, *(param.values[0] for param in NOT_FLOATS)]
 
 
 class TestValidateParams:
@@ -87,14 +123,17 @@ class TestValidateParams:
         assert validate_params(p) is p
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 0.5,
-                                   1.0, 2.0])
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ConverterParams)])
+                                   1.0, 2.0, *NOT_FLOATS])
+    @pytest.mark.parametrize("name", RECORD_FIELDS)
     def test_field_rules_are_the_record_invariants(self, line_params, name, x):
         try:
             dataclasses.replace(line_params, **{name: x})
             want = []
         except ParameterError as exc:
             want = exc.violations
+        # a bool, or a number beyond the float range, is no finite value
+        finite = type(x) is float and math.isfinite(x)
+        assert (("NonFiniteValue", name) in want) is not finite
         assert field_violations({name: x}) == want
         probe = SimpleNamespace(**{name: x})
         if want:
@@ -103,6 +142,41 @@ class TestValidateParams:
             assert exc.value.violations == want
         else:
             assert _check_fields(probe, (name,)) is None
+
+    @settings(max_examples=400, derandomize=True)
+    @given(values=st.fixed_dictionaries({n: st.sampled_from(EDGE_VALUES) for n in RECORD_FIELDS}),
+           names=st.sets(st.sampled_from(RECORD_FIELDS), min_size=1))
+    def test_every_check_is_the_stated_rules(self, values, names):
+        want = stated_violations(values)
+        if want:
+            with pytest.raises(ParameterError) as exc:
+                ConverterParams(**values)
+            assert exc.value.violations == want
+            assert str(exc.value) == ("invalid converter parameters: "
+                                      + "; ".join(f"{c}({n})" for c, n in want))
+        else:
+            assert validate_params(ConverterParams(**values)).d == values["d"]
+        # a descent probe: only the fields it names are checked
+        want = stated_violations({n: values[n] for n in names})
+        probe = SimpleNamespace(**values)
+        if want:
+            with pytest.raises(ParameterError) as exc:
+                _check_fields(probe, sorted(names))
+            assert exc.value.violations == want
+        else:
+            assert _check_fields(probe, sorted(names)) is None
+
+    @settings(max_examples=200, derandomize=True)
+    @given(name=st.sampled_from(SWEEP_AXES), lo=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5]),
+           hi=st.sampled_from([5e-324, 0.5, 1.0, 2.0, 3.0]), n=st.integers(1, 21))
+    def test_sweep_masks_are_the_stated_rules(self, name, lo, hi, n):
+        axis = SweepAxis(name, lo, hi, n)
+        checked = _checked_values(axis)
+        for x, got in zip(axis.values.tolist(), checked.tolist()):
+            if stated_violations({name: x}):
+                assert math.isnan(got)
+            else:
+                assert got == x
 
     def test_period(self, line_params):
         assert line_params.period == pytest.approx(1e-4)
@@ -149,13 +223,19 @@ class TestStepEvent:
         with pytest.raises(ValueError):
             StepEvent(StepKind.INPUT_VOLTAGE, -1.0, 3.3)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, *NOT_FLOATS])
     @pytest.mark.parametrize("field", ["value_before", "value_after", "t_event"])
     def test_non_finite_values_rejected(self, field, bad):
         values = {"value_before": 1.0, "value_after": 3.0, "t_event": 0.0, field: bad}
         for kind in StepKind:
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ValueError, match=field) as exc:
                 StepEvent(kind, **values)
+            assert len(str(exc.value)) < 80
+
+    @pytest.mark.parametrize("kind", ["input_voltage", "load_resistance", None])
+    def test_kind_must_be_a_step_kind(self, kind):
+        with pytest.raises(ValueError, match=f"kind must be a StepKind, not {kind!r}"):
+            StepEvent(kind, 92.0, 50.0)
 
 
 class TestWaveform:
