@@ -34,6 +34,7 @@ from .circuit import (
     Waveform,
     _IDEAL_PARASITICS,
     _check_fields,
+    _grid_steps,
     _uniform_times,
     parasitic_free,
 )
@@ -154,7 +155,7 @@ class ClosedForm(NamedTuple):
 
     def waveform(self, t_event: float, dt: float, t_end: float) -> Waveform:
         """The response sampled every ``dt`` from 0 to ``t_end``."""
-        return Waveform(0.0, dt, self.at(_uniform_times(int(round(t_end / dt)) + 1, dt), t_event))
+        return Waveform(0.0, dt, self.at(_uniform_times(_grid_steps(t_end, dt) + 1, dt), t_event))
 
 
 def _second_order_tf(tf: tfm_line.SecondOrderTF, base: float, k: float) -> ClosedForm:

@@ -39,6 +39,23 @@ class NonFiniteTime(ModelDomainError):
     """A response was requested at a non-finite time."""
 
 
+#: The sizes a run may ask for, each refused as GridTooLarge before anything
+#: is allocated.  The samples of one grid (``simulate``, ``predict
+#: --waveform``, ``audit``): a switched grid holds about six floats a
+#: sample, so 2^24 samples take 0.8 GB, and 2^24 is over four times a
+#: 4,000,001-row run and 40 times the longest CI run (400,001 rows).
+MAX_GRID_SAMPLES = 2**24
+#: The substeps of one switching cycle: the cycle table, the ladders and one
+#: cycle's columns grow with it, and 2^16 is over 80 times the finest run
+#: of the tests (800) and 300 times the default (200).
+MAX_STEPS_PER_CYCLE = 2**16
+
+
+class GridTooLarge(ModelDomainError):
+    """A grid would hold more than MAX_GRID_SAMPLES samples, or a switching
+    cycle more than MAX_STEPS_PER_CYCLE substeps."""
+
+
 @dataclass(frozen=True, slots=True)
 class ConverterParams:
     """Full component set of the non-ideal Boost circuit.
@@ -208,6 +225,16 @@ class Waveform:
     @property
     def times(self) -> np.ndarray:
         return _uniform_times(self.samples.size, self.dt, self.t0)
+
+
+def _grid_steps(t_end: float, dt: float) -> int:
+    """round(t_end / dt), the last index of the grid every ``dt`` up to
+    ``t_end``; GridTooLarge if that grid holds over MAX_GRID_SAMPLES samples."""
+    steps = t_end / dt
+    if steps >= MAX_GRID_SAMPLES - 0.5:
+        raise GridTooLarge(f"a grid every {dt!r} s up to {t_end!r} s holds {steps + 1:.4g} "
+                           f"samples, over {MAX_GRID_SAMPLES}")
+    return int(round(steps))
 
 
 def _uniform_times(n: int, dt: float, t0: float = 0.0) -> np.ndarray:

@@ -43,11 +43,14 @@ import numpy as np
 
 from . import ebm
 from .circuit import (
+    MAX_STEPS_PER_CYCLE,
     ConverterParams,
+    GridTooLarge,
     ModelDomainError,
     StepEvent,
     StepKind,
     Waveform,
+    _grid_steps,
     parasitic_free,
 )
 
@@ -168,7 +171,7 @@ def _stepped(m2, m1, m0, forcing, v0, dv0, dt, t_end, t_event=0.0, before=0.0):
         raise ValueError(f"dt must be positive and finite, not {dt!r}")
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, not {t_end!r}")
-    n, e = int(round(t_end / dt)), int(round(t_event / dt))
+    n, e = _grid_steps(t_end, dt), int(round(t_event / dt))
     out = np.full(n + 1, before)
     if e > n:
         return out
@@ -355,6 +358,8 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
     """
     if not isinstance(spc, numbers.Integral) or spc < 50:
         raise ValueError(f"steps_per_cycle must be an integer >= 50, not {spc!r}")
+    if spc > MAX_STEPS_PER_CYCLE:
+        raise GridTooLarge(f"steps_per_cycle {spc} is over {MAX_STEPS_PER_CYCLE}")
     if len(events) > 1:
         raise ValueError("the switched oracle takes at most one event")
     period = p.period
@@ -364,7 +369,7 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
         raise ValueError("t_end must cover at least 20 switching periods")
 
     dt = period / spc
-    n = int(round(t_end / dt))
+    n = _grid_steps(t_end, dt) if keep_grid else int(round(t_end / dt))
     on_steps = int(round(p.d * spc))
     on_phase = np.arange(spc) < on_steps
     # the columns of the cycle in hand and its end, and the load at each

@@ -66,6 +66,12 @@ class RepeatedRoots(ModelDomainError):
     """
 
 
+class NonFiniteRoots(ModelDomainError):
+    """The root iteration overflowed and left a denominator root NaN or
+    infinite: its start radius, 1 plus the largest monic coefficient, is
+    too large for its powers to be floats."""
+
+
 class ScanTooLong(ModelDomainError):
     """The extremum scan would take more than ``MAX_SCAN_POINTS`` samples."""
 
@@ -223,11 +229,15 @@ def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
     ``REAL_ROOT_TOL`` of the real axis is a real mode; a conjugate pair is
     its root with imag > 0 and twice that residue.
 
-    Raises :class:`RepeatedRoots` when two roots are closer than
+    Raises :class:`NonFiniteRoots` when a root is NaN or infinite, and
+    :class:`RepeatedRoots` when two roots are closer than
     ``CONFLUENT_ROOT_TOL`` relative to the larger of the pair, or three are
     pairwise closer than ``TRIPLE_ROOT_TOL``.
     """
     roots = all_roots(np.asarray(tf.den, dtype=float))
+    if not np.isfinite(roots).all():
+        listed = ", ".join(f"{r:.6g}" for r in roots.tolist())
+        raise NonFiniteRoots(f"the root iteration overflowed: denominator roots {listed}")
     mag = np.abs(roots)
     rel = np.abs(np.subtract.outer(roots, roots)) / np.maximum.outer(mag, mag)
     for group in (*combinations(range(roots.size), 2), *combinations(range(roots.size), 3)):

@@ -135,8 +135,8 @@ class TestPredict:
 
     @pytest.mark.parametrize("t_end, waveform, error, code", [
         (-1.0, "wave.csv", "ValueError", 2),
-        # 1e17 samples: one array larger than any address space
-        (5e9, "wave.csv", "MemoryError", 1),
+        # 1e17 samples: refused by the grid bound before an array is built
+        (5e9, "wave.csv", "GridTooLarge", 3),
         (None, "missing/wave.csv", "FileNotFoundError", 1),
     ], ids=["negative-horizon", "horizon-beyond-memory", "unwritable-path"])
     def test_failed_waveform_leaves_stdout_empty(self, fast_params, tmp_path, capsys,
@@ -446,6 +446,34 @@ class TestErrorContract:
             "error": "ValueError", "exit_code": 2,
             "message": "an input step must end at the design's input voltage: "
                        "value_after 5.0 V is not v_i 3.0 V"}
+
+    @pytest.mark.parametrize("command, solver", [
+        (["simulate", "--engine", "averaged"], {"t_end": 5e6}),
+        (["simulate", "--engine", "switched"], {"t_end": 5e6}),
+        (["predict", "--waveform"], {"t_end": 5e6}),
+        (["compare"], {"steps_per_cycle": 10**12}),
+        (["audit"], {"steps_per_cycle": 10**12}),
+    ], ids=["simulate-averaged", "simulate-switched", "predict-waveform", "compare", "audit"])
+    def test_an_oversized_run_exits_3_before_allocating(self, load_params, tmp_path, capsys,
+                                                        command, solver):
+        event = {"kind": "load_resistance", "value_before": 10.0, "value_after": 150.0}
+        config = write_config(tmp_path, load_params, event=event, solver=solver)
+        wave = tmp_path / "wave.csv"
+        argv = [*command, *[str(wave)] * (command[-1] == "--waveform"), "--config", config]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not wave.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["error"], payload["exit_code"]) == ("GridTooLarge", 3)
+        assert peak < 10e6
 
     def test_internal_error_exits_one_with_one_json_line(self, line_params, tmp_path, capsys,
                                                         monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boostdyn import ConverterParams, StepEvent, StepKind, analysis, ebm, oracle
+from boostdyn import ConverterParams, StepEvent, StepKind, analysis, circuit, ebm, oracle
 from boostdyn.circuit import parasitic_free
 from boostdyn.oracle import (
     NonFiniteState,
@@ -731,3 +731,27 @@ class TestAveragedStepForm:
         # from its fixed point, or with the event at t = 0, it does not
         averaged_step_form(fast_params, event, initial_state="steady")
         averaged_step_form(fast_params, replace(event, t_event=0.0), initial_state="zero")
+
+
+class TestSizeBounds:
+    """A grid of over ``MAX_GRID_SAMPLES`` samples is refused before it is
+    built (``steps_per_cycle``'s bound is tested through ``cli.main``)."""
+
+    def test_the_grid_bound_counts_samples(self):
+        bound = circuit.MAX_GRID_SAMPLES
+        assert circuit._grid_steps(bound - 0.75, 1.0) == bound - 1
+        # bound - 0.5 rounds to bound steps: one sample over
+        for t_end, dt in ((bound - 0.5, 1.0), (1e300, 1e-300)):
+            with pytest.raises(circuit.GridTooLarge, match="samples"):
+                circuit._grid_steps(t_end, dt)
+
+    def test_an_oversized_integration_is_refused_unbuilt(self):
+        # 1e9 samples
+        tracemalloc.start()
+        try:
+            with pytest.raises(circuit.GridTooLarge):
+                integrate_second_order(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1e-9, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from boostdyn import cli
+from boostdyn import cli, tfm_load
 from boostdyn.analysis import closed_form_metrics
 from boostdyn.circuit import ConverterParams, StepEvent, StepKind
 from boostdyn.ebm import ebm_metrics, load_step_form
@@ -187,6 +188,29 @@ class TestInversion:
         tf = QuarticTF(den=den, num=(0.0, 0.0, 1.0, 2.0, 3.0), gain_i2=1.0, delta_r0=1.0)
         with pytest.raises(RepeatedRoots):
             invert_quartic_tf(tf)
+
+    def test_non_finite_roots_refused(self, load_params):
+        # the start radius of this quartic, 1.6e116, overflows at the fourth
+        # power: every sweep after is NaN, and no warning leaves the solver
+        p = dataclasses.replace(load_params, l=1e-30, c=1e-30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tfm_load.NonFiniteRoots, match="denominator roots nan"):
+                load_metrics(p, 140.0)
+
+    def test_non_finite_roots_exit_3(self, load_params, tmp_path, capsys):
+        converter = {**dataclasses.asdict(load_params), "l": 1e-30, "c": 1e-30}
+        event = {"kind": "load_resistance", "value_before": 10.0, "value_after": 150.0}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"converter": converter, "event": event}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["predict", "--model", "tfm", "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteRoots"
 
     def test_close_distinct_pair_inverted(self):
         # 1e-4 relative separation: far above the ~1.5e-8 split of a double root
