@@ -86,7 +86,7 @@ def extract_metrics(w: Waveform, t_event: float) -> ResponseMetrics:
     samples, which must vary by less than 0.5 percent; the peak is the
     post-event maximum sharpened by three-point quadratic interpolation.
     """
-    start = max(0, int(math.ceil((t_event - w.t0) / w.dt)))
+    start = max(0, math.ceil(min((t_event - w.t0) / w.dt, w.samples.size)))
     seg = w.samples[start:]
     if seg.size == 0:
         raise ValueError(f"no sample lies after t_event = {t_event:g} s")
@@ -238,6 +238,8 @@ def default_comparison_t_end(p: ConverterParams, event: StepEvent) -> float:
     rates = []
     for q in (p, parasitic_free(p)):
         co = ebm.ode_coefficients(q, r_0=r_post)
+        if not co.m2 > 0.0:
+            raise ModelDomainError(f"l c = {q.l!r} * {q.c!r} underflows to 0: no horizon settles")
         rate, w0_sq = co.m1 / (2.0 * co.m2), co.m0 / co.m2
         if rate * rate >= w0_sq:
             rate = w0_sq / (rate + math.sqrt(rate * rate - w0_sq))

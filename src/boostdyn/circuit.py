@@ -49,11 +49,15 @@ MAX_GRID_SAMPLES = 2**24
 #: cycle's columns grow with it, and 2^16 is over 80 times the finest run
 #: of the tests (800) and 300 times the default (200).
 MAX_STEPS_PER_CYCLE = 2**16
+#: The cycles of one switched run, which holds one mean a cycle even with no
+#: grid (``compare``): 2^20 is ten times the longest compare on record, the
+#: bench load converter stepped 10 -> 10k ohm at its default horizon (103,221).
+MAX_SWITCHED_CYCLES = 2**20
 
 
 class GridTooLarge(ModelDomainError):
-    """A grid would hold more than MAX_GRID_SAMPLES samples, or a switching
-    cycle more than MAX_STEPS_PER_CYCLE substeps."""
+    """A grid of over MAX_GRID_SAMPLES samples, a switching cycle of over
+    MAX_STEPS_PER_CYCLE substeps or a switched run of over MAX_SWITCHED_CYCLES cycles."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,7 +238,7 @@ def _grid_steps(t_end: float, dt: float) -> int:
     if steps >= MAX_GRID_SAMPLES - 0.5:
         raise GridTooLarge(f"a grid every {dt!r} s up to {t_end!r} s holds {steps + 1:.4g} "
                            f"samples, over {MAX_GRID_SAMPLES}")
-    return int(round(steps))
+    return int(round(max(steps, -1.0)))  # any t_end < 0 has no sample, even at -inf steps
 
 
 def _uniform_times(n: int, dt: float, t0: float = 0.0) -> np.ndarray:

@@ -31,8 +31,8 @@ leave a partial ``--out`` file.  Exit codes: 0 success; 2 a config or usage
 error, which is any ``ValueError``: ``ConfigError``, ``ParameterError`` or
 a library argument check; 3 a ``ModelDomainError``; 1 any other (internal)
 error.  Every error goes to stderr as one JSON object ``{"error",
-"message", "exit_code"}`` and nothing to stdout; only argparse's own usage
-errors print text (exit 2).
+"message", "exit_code"}``, and nothing else to stderr or stdout: warnings
+show once a run succeeds.  Only argparse's own usage errors print text.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import contextlib
 import functools
 import json
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Iterable, Optional, TextIO
@@ -344,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(exc: Exception, code: int) -> int:
+def _emit_error(exc: Exception) -> int:
+    """Print ``exc`` to stderr as one JSON object and return its exit code."""
+    code = 3 if isinstance(exc, ModelDomainError) else 2 if isinstance(exc, ValueError) else 1
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
@@ -352,14 +355,14 @@ def _emit_error(exc: Exception, code: int) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(load_config(args.config), args)
-    except ModelDomainError as exc:
-        return _emit_error(exc, 3)
-    except ValueError as exc:
-        return _emit_error(exc, 2)
-    except Exception as exc:
-        return _emit_error(exc, 1)
+    with warnings.catch_warnings(record=True) as caught:  # shown only once the run succeeds
+        try:
+            code = args.func(load_config(args.config), args)
+        except Exception as exc:
+            return _emit_error(exc)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

@@ -195,10 +195,7 @@ def ebm_metrics(form: SecondOrderForm) -> ResponseMetrics:
     if abs(form.v0 - vinf) < 1e-12 * scale and abs(form.dv0) < 1e-12 * scale * form.omega0:
         return ResponseMetrics(vinf, vinf, None, flags=("no-peak",))
 
-    if form.xi < 1.0:
-        t_hi = 2.0 * math.pi / form.omega_d
-    else:
-        t_hi = 20.0 / form.omega0
+    t_hi = 2.0 * math.pi / form.omega_d if form.xi < 1.0 else 20.0 / form.omega0
     flags: tuple[str, ...] = ("overdamped",) if form.overdamped else ()
     tol = PEAK_SLOPE_TOL * form.omega0 * max(abs(vinf), 1e-30)
     ts = _SCAN_INDEX * (t_hi / 256)

@@ -44,6 +44,7 @@ import numpy as np
 from . import ebm
 from .circuit import (
     MAX_STEPS_PER_CYCLE,
+    MAX_SWITCHED_CYCLES,
     ConverterParams,
     GridTooLarge,
     ModelDomainError,
@@ -79,6 +80,8 @@ def _modes(p: ConverterParams, v_i: float, r_0: float) -> tuple[_Mode, _Mode, _M
     the capacitor discharges as when on.
     """
     k = r_0 / (r_0 + p.r_c)
+    if not p.c * (r_0 + p.r_c) > 0.0:
+        raise NonFiniteState(f"the output time constant c (r_0 + r_c) underflows at r_0 = {r_0!r}")
     g = -1.0 / (p.c * (r_0 + p.r_c))
     out_c = np.array([0.0, k])
     on = _Mode(np.diag([-(p.r_l + p.r_m) / p.l, g]), np.array([v_i / p.l, 0.0]), out_c)
@@ -171,7 +174,8 @@ def _stepped(m2, m1, m0, forcing, v0, dv0, dt, t_end, t_event=0.0, before=0.0):
         raise ValueError(f"dt must be positive and finite, not {dt!r}")
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, not {t_end!r}")
-    n, e = _grid_steps(t_end, dt), int(round(t_event / dt))
+    n = _grid_steps(t_end, dt)
+    e = int(round(min(t_event / dt, n + 1)))  # an event past the grid is at n + 1
     out = np.full(n + 1, before)
     if e > n:
         return out
@@ -213,7 +217,7 @@ def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
 def _segments(p: ConverterParams, events: Sequence[StepEvent], dt: float, n: int):
     """(a, b, v_i, r_0): the input and load in force on [a, b] of the grid
     0..n, before and after the one event, if any, from its nearest sample < n."""
-    e = int(round(events[0].t_event / dt)) if events else n
+    e = int(round(min(events[0].t_event / dt, n + 1))) if events else n
     if e > 0:
         yield 0, min(e, n), p.v_i, p.r_0
     if e < n:
@@ -352,9 +356,10 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
     A CCM batch advances only its cycle starts, each mean one product
     w @ (i_L, v_C, 1), and reads its off-phase currents for a dip below zero
     from the cycle table's i_L row alone, for at most ``_DIP_CHECK_SIZE``
-    off-phase substeps at once.  The cycle that dips, and every cycle
-    stepped stretch by stretch, fills one cycle's columns and is averaged;
-    only an off phase clamps.  A kept grid is written from the same run.
+    off-phase substeps at once.  The cycle that dips, and every cycle stepped
+    stretch by stretch, fills one cycle's columns and is averaged; only an off
+    phase clamps.  A kept grid is written from the same run.  NonFiniteState
+    if a mean, or a kept sample, is not finite.
     """
     if not isinstance(spc, numbers.Integral) or spc < 50:
         raise ValueError(f"steps_per_cycle must be an integer >= 50, not {spc!r}")
@@ -367,6 +372,8 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
         raise ValueError(f"t_end must be finite, not {t_end!r}")
     if t_end < 20.0 * period:
         raise ValueError("t_end must cover at least 20 switching periods")
+    if t_end > MAX_SWITCHED_CYCLES * period:
+        raise GridTooLarge(f"{t_end!r} s holds {t_end / period:.4g} cycles, over {MAX_SWITCHED_CYCLES}")
 
     dt = period / spc
     n = _grid_steps(t_end, dt) if keep_grid else int(round(t_end / dt))
@@ -452,7 +459,10 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
                 close_cycle(c0)
     if grid is not None:  # the last cycle, where it is not whole
         grid[:2, n - n % spc + 1 :] = x[:2, 1 : n % spc + 1]
-    return np.array(means), grid, dcm
+    means = np.array(means)
+    if not np.isfinite(means if grid is None else grid[:2]).all():
+        raise NonFiniteState("switched simulation diverged")
+    return means, grid, dcm
 
 
 def simulate_switched(
@@ -477,16 +487,12 @@ def simulate_switched(
     spc = steps_per_cycle
     _, grid, dcm = _switched_cycles(p, events, spc, t_end, initial_state, keep_grid=True)
     i_l, v_c, v_out = grid
-    if not (np.all(np.isfinite(i_l)) and np.all(np.isfinite(v_c))):
-        raise NonFiniteState("switched simulation diverged")
 
     dt = p.period / spc
     n = v_out.size - 1
-    v_i_applied = np.empty(n + 1)
-    r_0_applied = np.empty(n + 1)
+    v_i_applied, r_0_applied = np.empty((2, n + 1))
     for a, b, v_i, r_0 in _segments(p, events, dt, n):
-        v_i_applied[a : b + 1] = v_i
-        r_0_applied[a : b + 1] = r_0
+        v_i_applied[a : b + 1], r_0_applied[a : b + 1] = v_i, r_0
     # v_out takes over the ones row of the state grid
     on_phase = np.resize(np.arange(spc) < int(round(p.d * spc)), n + 1)
     _output(i_l, v_c, on_phase, r_0_applied, p.r_c, out=v_out)
@@ -507,8 +513,6 @@ def switched_cycle_means(
     continuous conduction advances only the cycle starts.
     """
     means, _, dcm = _switched_cycles(p, events, steps_per_cycle, t_end, initial_state)
-    if not np.all(np.isfinite(means)):
-        raise NonFiniteState("switched simulation diverged")
     dt = p.period / steps_per_cycle
     wave = Waveform(t0=0.5 * steps_per_cycle * dt, dt=steps_per_cycle * dt, samples=means)
     return CycleMeans(wave, ("dcm",) if dcm else ())
@@ -553,8 +557,8 @@ def energy_audit(
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     n = trace.v_out.size - 1
-    i0 = int(round(t0 / trace.dt))
-    i1 = int(round(t1 / trace.dt))
+    i0 = int(round(max(t0 / trace.dt, -1.0)))  # clamped just outside: far out, t / dt is inf
+    i1 = int(round(min(t1 / trace.dt, n + 1.0)))
     if i0 < 0 or i1 > n:
         raise WindowOutOfRange(f"[{t0}, {t1}] outside trace of {n + 1} samples")
     if i0 == i1:
@@ -562,10 +566,7 @@ def energy_audit(
 
     sl = slice(i0, i1 + 1)
     t = trace.dt * np.arange(i0, i1 + 1)
-    i_l = trace.i_l[sl]
-    v_c = trace.v_c[sl]
-    v_o = trace.v_out[sl]
-    r_0 = trace.r_0_applied[sl]
+    i_l, v_c, v_o, r_0 = (x[sl] for x in (trace.i_l, trace.v_c, trace.v_out, trace.r_0_applied))
     i_c = (np.where(trace.on_phase[sl], 0.0, i_l) * r_0 - v_c) / (r_0 + p.r_c)
     on = trace.on_phase[sl].astype(float)
     off = 1.0 - on

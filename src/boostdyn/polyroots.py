@@ -52,8 +52,7 @@ def all_roots(coeffs) -> np.ndarray:
 
     # Cauchy-style radius so starting points circle every root.
     radius = 1.0 + float(np.max(np.abs(monic[1:])))
-    seed = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
-    roots = seed.astype(complex)
+    roots = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
 
     coeffs = monic.tolist()
     # (rows[k], cols[k]) runs over i != j row by row, in increasing j

@@ -10,16 +10,15 @@ each residue's polynomials evaluated by Horner in Python complex.  No root
 is averaged with its partner: a conjugate pair is one mode, its upper root
 with twice that root's residue.  The first extremum of the inverted
 response comes from the same slope scan and bisection as the energy
-model's peak (``circuit._first_crossing``).  Response and slope are one mode
-sum, the slope's with each residue times its root: the scan evaluates it on
-an array of times in numpy, and each bisection step at one time in Python.
+model's peak (``circuit._first_crossing``), on the slope's mode sum: the
+scan's times as one array, and each bisection step's as a Python float.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -67,9 +66,10 @@ class RepeatedRoots(ModelDomainError):
 
 
 class NonFiniteRoots(ModelDomainError):
-    """The root iteration overflowed and left a denominator root NaN or
-    infinite: its start radius, 1 plus the largest monic coefficient, is
-    too large for its powers to be floats."""
+    """A denominator root or its residue is not a finite number: the
+    coefficients overflow a float, the root iteration overflows (its start
+    radius, 1 plus the largest monic coefficient, has powers beyond the
+    float range), or it leaves a root at 0, which has no residue."""
 
 
 class ScanTooLong(ModelDomainError):
@@ -102,10 +102,9 @@ class ExpModeSum:
     root's residue; ``stable`` is False when any denominator root has a
     non-negative real part (response kept for diagnosis).
 
-    ``deviation`` and ``deviation_slope`` share one sum, the slope's with each
-    residue times its root.  At a scalar time (a Python or numpy number) it
-    is a Python float, the modes summed by ``cmath`` in the array path's
-    order; any other ``t`` goes through numpy and returns an array of its shape.
+    ``deviation`` and ``deviation_slope`` (each residue times its root) are
+    one loop over the modes, by ``cmath`` to a Python float at a scalar time (a
+    Python or numpy number), else by numpy to an array of the shape of ``t``.
     """
 
     offset: float
@@ -121,17 +120,12 @@ class ExpModeSum:
 
 def _mode_sum(offset: float, modes, t):
     """``ExpModeSum.deviation`` of ``offset`` and ``modes`` at ``t``."""
-    if np.isscalar(t):
-        t = float(t)
-        total = complex(offset)
-        for residue, root in modes:
-            total += residue * cmath.exp(root * t)
-        return total.real
-    t_arr = np.asarray(t, dtype=float)
-    out = np.full(t_arr.shape, offset, dtype=complex)
+    scalar = np.isscalar(t)
+    t, exp = (float(t), cmath.exp) if scalar else (np.asarray(t, dtype=float), np.exp)
+    total = complex(offset) if scalar else np.full(t.shape, offset, dtype=complex)
     for residue, root in modes:
-        out = out + residue * np.exp(root * t_arr)
-    return out.real
+        total = total + residue * exp(root * t)
+    return total.real
 
 
 def _raw_coefficients(p: ConverterParams, delta_r0: float):
@@ -182,16 +176,18 @@ def load_tf_raw(p: ConverterParams, delta_r0: float) -> QuarticTF:
     """Quartic transfer function exactly as derived, no empirical correction."""
     if p.r_0 + delta_r0 <= 0:
         raise InvalidPostLoad("post-step load resistance must be > 0")
-    den, num = _raw_coefficients(p, delta_r0)
+    try:
+        den, num = _raw_coefficients(p, delta_r0)
+    except OverflowError as exc:  # Python's float ** raises where * is inf
+        raise NonFiniteRoots(f"the load transfer function's coefficients overflow: {exc}") from exc
     i2 = steady_inductor_current(p).i_out
     return QuarticTF(den=den, num=num, gain_i2=i2, delta_r0=delta_r0)
 
 
 def correction_factor(p: ConverterParams) -> float:
     """Empirical bracket rescaling the denominator dynamics."""
-    c_field, l_field = p.c, p.l
-    total = (c_field - 0.000042) / 0.00005
-    total += (0.001 - l_field) / 0.0006
+    total = (p.c - 0.000042) / 0.00005
+    total += (0.001 - p.l) / 0.0006
     total += (p.r_l - 1.4) / 6.0
     total += (p.d - 0.5) / 0.5
     total += (p.r_c - 1.0) / 2.0
@@ -211,12 +207,7 @@ def load_tf_corrected(p: ConverterParams, delta_r0: float) -> QuarticTF:
             "the region the correction was fit on"
         )
     a, b, c, d, f = raw.den
-    return QuarticTF(
-        den=(kappa * a, kappa * b, kappa * c, kappa * d, f),
-        num=raw.num,
-        gain_i2=raw.gain_i2,
-        delta_r0=raw.delta_r0,
-    )
+    return replace(raw, den=(kappa * a, kappa * b, kappa * c, kappa * d, f))
 
 
 def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
@@ -229,16 +220,16 @@ def invert_quartic_tf(tf: QuarticTF) -> ExpModeSum:
     ``REAL_ROOT_TOL`` of the real axis is a real mode; a conjugate pair is
     its root with imag > 0 and twice that residue.
 
-    Raises :class:`NonFiniteRoots` when a root is NaN or infinite, and
+    Raises :class:`NonFiniteRoots` when a root is NaN, infinite or 0, and
     :class:`RepeatedRoots` when two roots are closer than
     ``CONFLUENT_ROOT_TOL`` relative to the larger of the pair, or three are
     pairwise closer than ``TRIPLE_ROOT_TOL``.
     """
     roots = all_roots(np.asarray(tf.den, dtype=float))
-    if not np.isfinite(roots).all():
-        listed = ", ".join(f"{r:.6g}" for r in roots.tolist())
-        raise NonFiniteRoots(f"the root iteration overflowed: denominator roots {listed}")
     mag = np.abs(roots)
+    if not (np.isfinite(roots).all() and mag.all()):
+        listed = ", ".join(f"{r:.6g}" for r in roots.tolist())
+        raise NonFiniteRoots(f"denominator roots {listed}: overflowed, or a root at 0")
     rel = np.abs(np.subtract.outer(roots, roots)) / np.maximum.outer(mag, mag)
     for group in (*combinations(range(roots.size), 2), *combinations(range(roots.size), 3)):
         tol = CONFLUENT_ROOT_TOL if len(group) == 2 else TRIPLE_ROOT_TOL

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -344,8 +345,10 @@ class TestExtractMetrics:
                     analysis.extract_metrics(w, 0.0)
 
     def test_event_after_the_last_sample_is_named(self):
-        with pytest.raises(ValueError, match="no sample lies after t_event"):
-            analysis.extract_metrics(parabola_with_plateau(), 6.0)
+        # at the largest float, t_event / dt overflows to inf, no index to round
+        for t_event in (6.0, sys.float_info.max):
+            with pytest.raises(ValueError, match="no sample lies after t_event"):
+                analysis.extract_metrics(parabola_with_plateau(), t_event)
 
     def test_settled_window_is_the_last_tenth_after_the_event(self):
         # 940 samples of rest, then 60 of the parabola: the last tenth of the

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import signal
 import sys
+import warnings
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +12,7 @@ import pytest
 
 from boostdyn import (StepEvent, StepKind, Waveform, analysis, cli, simulate_switched,
                       steady_output)
+from boostdyn.circuit import DischargedSourceWarning
 
 CONVERTER_KEYS = ("v_i", "l", "r_l", "c", "r_c", "r_m", "v_d", "r_0", "d", "f_sw")
 AUDIT_KEYS = {"t0", "t1", "e_l", "e_c", "e_r", "e_vd", "e_rm", "e_rl", "e_rc", "residual", "flags"}
@@ -453,18 +456,29 @@ class TestErrorContract:
         (["predict", "--waveform"], {"t_end": 5e6}),
         (["compare"], {"steps_per_cycle": 10**12}),
         (["audit"], {"steps_per_cycle": 10**12}),
-    ], ids=["simulate-averaged", "simulate-switched", "predict-waveform", "compare", "audit"])
+        (["compare"], {"t_end": 5e6}),
+    ], ids=["simulate-averaged", "simulate-switched", "predict-waveform", "compare", "audit",
+            "compare-horizon"])
     def test_an_oversized_run_exits_3_before_allocating(self, load_params, tmp_path, capsys,
                                                         command, solver):
         event = {"kind": "load_resistance", "value_before": 10.0, "value_after": 150.0}
         config = write_config(tmp_path, load_params, event=event, solver=solver)
         wave = tmp_path / "wave.csv"
         argv = [*command, *[str(wave)] * (command[-1] == "--waveform"), "--config", config]
+
+        def stop(signum, frame):
+            # the compare of 5e10 cycles, unbounded, ran until it was stopped
+            raise TimeoutError("the run was neither refused nor finished in 20 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(20)
         tracemalloc.start()
         try:
             code = cli.main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
             tracemalloc.stop()
         assert code == 3
         captured = capsys.readouterr()
@@ -489,6 +503,49 @@ class TestErrorContract:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "RuntimeError", "message": "boom", "exit_code": 1}
+
+
+    def test_a_failed_run_prints_its_json_object_and_no_warning(self, load_params, tmp_path,
+                                                               capsys):
+        # l = 5e-324 puts inf in the averaged matrices: numpy warns on the way
+        # to NonFiniteState, and the warnings are dropped with the run
+        converter = dataclasses.replace(load_params, l=5e-324)
+        event = {"kind": "load_resistance", "value_before": 10.0, "value_after": 150.0}
+        config = write_config(tmp_path, converter, event=event, solver={"t_end": 0.05})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["simulate", "--config", config]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and caught == []
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "NonFiniteState"
+
+    def test_a_run_that_succeeds_shows_its_warnings(self, load_params, tmp_path, capsys):
+        # a source below the diode threshold clamps the steady output, and says so
+        converter = dataclasses.replace(load_params, v_i=0.1)
+        event = {"kind": "load_resistance", "value_before": 10.0, "value_after": 150.0}
+        config = write_config(tmp_path, converter, event=event)
+        with pytest.warns(DischargedSourceWarning):
+            assert cli.main(["predict", "--model", "ebm", "--config", config]) == 0
+        assert json.loads(capsys.readouterr().out)["model"] == "ebm"
+
+    @pytest.mark.parametrize("command, solver", [
+        (["predict", "--model", "fr"], {}),
+        (["predict", "--waveform"], {"t_end": 0.01}),
+        (["simulate", "--parasitics", "off"], {"t_end": 0.01}),
+        (["simulate"], {}),
+    ], ids=["fr", "waveform", "averaged-ideal", "default-horizon"])
+    def test_an_underflowing_design_exits_3(self, line_params, tmp_path, capsys, command, solver):
+        # a valid record whose products underflow to 0: the ideal TF's s^2
+        # and s^0 coefficients, c r_0 and l c, each of which was divided by, exit 1
+        wave = tmp_path / "wave.csv"
+        design = dataclasses.replace(line_params, l=5e-324, r_0=5e-324)
+        event = {"kind": "input_voltage", "value_before": 0.0, "value_after": line_params.v_i}
+        config = write_config(tmp_path, design, event=event, solver=solver)
+        argv = [*command, *[str(wave)] * (command[-1] == "--waveform"), "--config", config]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 class TestWaveformCsv:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -512,6 +513,10 @@ class TestEnergyAudit:
         with pytest.raises(ValueError):
             energy_audit(p, trace, 2 * p.period, p.period)
         assert energy_audit(p, trace, p.period, p.period).residual == 0.0
+        # times so far out that t / dt, their sample index, overflows to inf
+        for t0, t1 in ((-sys.float_info.max, p.period), (0.0, sys.float_info.max)):
+            with pytest.raises(WindowOutOfRange):
+                energy_audit(p, trace, t0, t1)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="t0 must be finite"):
                 energy_audit(p, trace, bad, p.period)
@@ -541,6 +546,27 @@ class TestInputChecks:
         for initial in ("hot", (0.0, 5.0)):
             with pytest.raises(ValueError, match="initial_state"):
                 simulate_switched(p, [], 200, 40 * p.period, initial_state=initial)
+
+    def test_an_event_past_the_horizon_is_the_same_run_at_any_time(self, fast_params):
+        # at the largest float, t_event / dt overflows to inf, no index to round
+        p, t_end = fast_params, 40 * fast_params.period
+        runs = {}
+        for t_event in (2 * t_end, sys.float_info.max):
+            event = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, 2 * p.r_0, t_event)
+            runs[t_event] = (
+                simulate_averaged(p, [event], p.period / 200, t_end, initial_state="steady"),
+                simulate_switched(p, [event], 200, t_end, initial_state="steady").waveform,
+                switched_cycle_means(p, [event], 200, t_end, initial_state="steady").waveform)
+        for near, far in zip(*runs.values()):
+            assert np.array_equal(near.samples, far.samples)
+
+    def test_an_underflowing_output_time_constant_is_refused(self, fast_params):
+        # c (r_0 + r_c) = 1e-5 * 5e-324 is 0, which the modes divided by
+        p = replace(fast_params, r_c=0.0, r_0=5e-324)
+        with pytest.raises(NonFiniteState, match="underflows"):
+            _modes(p, p.v_i, p.r_0)
+        with pytest.raises(NonFiniteState):
+            simulate_averaged(p, [], p.period / 200, 40 * p.period)
 
     def test_switched_refuses_a_second_event(self, fast_params):
         p = fast_params
@@ -744,6 +770,28 @@ class TestSizeBounds:
         for t_end, dt in ((bound - 0.5, 1.0), (1e300, 1e-300)):
             with pytest.raises(circuit.GridTooLarge, match="samples"):
                 circuit._grid_steps(t_end, dt)
+
+    def test_a_negative_horizon_has_no_sample(self):
+        # -inf steps, at the most negative float, could not be rounded
+        assert circuit._grid_steps(0.0, 1e-6) == 0
+        for t_end in (-1e-5, -sys.float_info.max):
+            assert circuit._grid_steps(t_end, 1e-6) == -1
+            form = analysis.closed_form(QUICK, StepEvent(StepKind.INPUT_VOLTAGE, 0.0, 3.0), "tfm")
+            with pytest.raises(ValueError, match="at least one sample"):
+                form.waveform(0.0, 1e-6, t_end)
+
+    def test_the_cycle_bound_counts_cycles(self, fast_params):
+        p = fast_params
+        bound = circuit.MAX_SWITCHED_CYCLES
+        tracemalloc.start()
+        try:
+            for t_end in ((bound + 1) * p.period, 5e6):
+                with pytest.raises(circuit.GridTooLarge, match="cycles, over"):
+                    switched_cycle_means(p, [], 50, t_end)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_an_oversized_integration_is_refused_unbuilt(self):
         # 1e9 samples

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from boostdyn.circuit import ConverterParams
+from boostdyn.circuit import ConverterParams, ModelDomainError
 from boostdyn.ebm import ebm_metrics, startup_form
 from boostdyn.oracle import integrate_second_order
 from boostdyn.steady import steady_output
@@ -44,6 +46,45 @@ def random_underdamped(rng) -> SecondOrderTF:
             return tf
 
 
+def random_line_step(rng):
+    """(tf, base, k) of a random underdamped line step over a wide design
+    space: v_i 0.05-20 V, so that some sources are discharged (f_num < 0),
+    r_c = 0 in about half of them, duty 0.01-0.99, and a random level before."""
+    while True:
+        p = params(
+            v_i=rng.uniform(0.05, 20.0),
+            l=10 ** rng.uniform(-5, -2),
+            c=10 ** rng.uniform(-6, -3),
+            r_0=10 ** rng.uniform(0.5, 3),
+            d=rng.uniform(0.01, 0.99),
+            r_l=rng.uniform(0.0, 2.0),
+            r_c=rng.uniform(0.0, 2.0) * (rng.random() < 0.5),
+            r_m=rng.uniform(0.0, 2.0),
+            v_d=rng.uniform(0.0, 1.0),
+        )
+        tf = line_tf_coefficients(p)
+        if tf.discriminant > 0:
+            return tf, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-3, 1), rng.uniform(-20.0, 20.0)
+
+
+def peak_to_50_digits(tf: SecondOrderTF, base: float, k: float, t_p: float):
+    """base + k y at the zero of the unit step response's slope y' nearest
+    ``t_p``, and that zero, in 50-digit arithmetic from the floats of ``tf``.
+
+    y(t) = f/c + e^(-s t) (A cos w t + B sin w t) with s = b/2a, w the
+    ringing frequency, y(0) = 0 and y'(0) = d/a."""
+    with mp.workdps(50):
+        a, b, c, d, f = (mp.mpf(x) for x in (tf.a, tf.b, tf.c, tf.d_num, tf.f_num))
+        s, w = b / (2 * a), mp.sqrt(4 * a * c - b * b) / (2 * a)
+        big_a = -f / c
+        big_b = (d / a + s * big_a) / w
+        # y' = e^(-s t) (P cos w t + Q sin w t), P = y'(0): 0 at w t = atan2(-P, Q) + n pi
+        first = mp.atan2(-d / a, -(s * big_b + w * big_a))
+        phase = first + mp.pi * mp.nint((w * t_p - first) / mp.pi)
+        y = f / c + mp.exp(-s * phase / w) * (big_a * mp.cos(phase) + big_b * mp.sin(phase))
+        return base + k * y, phase / w
+
+
 class TestCoefficients:
     def test_line_bench_values(self, line_params):
         tf = line_tf_coefficients(line_params)
@@ -81,6 +122,15 @@ class TestCoefficients:
         dead = dataclasses.replace(line_params, v_i=0.0)
         with pytest.raises(ZeroInputVoltage):
             line_tf_coefficients(dead)
+
+    @pytest.mark.parametrize("field", ["l", "r_0"])
+    def test_an_underflowing_coefficient_is_refused(self, line_params, field):
+        # a valid record whose s^2 or s^0 coefficient underflows to 0, which
+        # the DC gain or the step's initial slope divided by
+        tiny = dataclasses.replace(line_params, **{field: 5e-324})
+        ideal = dataclasses.replace(tiny, r_l=0.0, r_c=0.0, r_m=0.0, v_d=0.0)
+        with pytest.raises(ModelDomainError, match="underflow to 0"):
+            line_tf_coefficients(ideal)
 
 
 class TestStepResponse:
@@ -204,6 +254,16 @@ class TestPeak:
             _, direct, t_p = line_step_metrics(tf, 0.0, 1.0)
             sampled = line_step_response(tf, 1.0, t_p)
             assert abs(direct - sampled) <= 1e-9 * abs(direct)
+        # wider designs from a level, each to 8 eps of the response scale
+        # against the 50-digit peak
+        rng = np.random.default_rng(35)
+        for _ in range(300):
+            tf, base, k = random_line_step(rng)
+            _, direct, t_p = line_step_metrics(tf, base, k)
+            exact, exact_t_p = peak_to_50_digits(tf, base, k, t_p)
+            scale = max(abs(base), abs(k * tf.dc_gain))
+            assert abs(direct - float(exact)) <= 8 * sys.float_info.epsilon * scale
+            assert t_p == pytest.approx(float(exact_t_p), rel=1e-12)
 
     def test_dc_identity_random(self):
         rng = np.random.default_rng(7)

@@ -198,6 +198,20 @@ class TestInversion:
             with pytest.raises(tfm_load.NonFiniteRoots, match="denominator roots nan"):
                 load_metrics(p, 140.0)
 
+    def test_overflowing_coefficients_are_refused(self, load_params):
+        # Python's float ** raises OverflowError where a product would be inf
+        with pytest.raises(tfm_load.NonFiniteRoots, match="coefficients overflow"):
+            load_metrics(load_params, 1e300)
+
+    def test_a_root_at_zero_is_refused(self):
+        # a constant coefficient below the rounding of the others leaves the
+        # root iteration a root at exactly 0, which has no residue
+        tf = QuarticTF(den=(1e300, 1e300, 1e300, 1e300, 1.0), num=(0.0, 0.0, 0.0, 1.0, 1.0),
+                       gain_i2=1.0, delta_r0=1.0)
+        assert 0.0 in all_roots(np.asarray(tf.den))
+        with pytest.raises(tfm_load.NonFiniteRoots, match="a root at 0"):
+            invert_quartic_tf(tf)
+
     def test_non_finite_roots_exit_3(self, load_params, tmp_path, capsys):
         converter = {**dataclasses.asdict(load_params), "l": 1e-30, "c": 1e-30}
         event = {"kind": "load_resistance", "value_before": 10.0, "value_after": 150.0}
