@@ -8,7 +8,10 @@ x' = A x + u: the averaged circuit, the switched circuit in each of its
 modes (switch on, diode conducting, and idle with i_L = 0 in discontinuous
 conduction), both in x = (i_L, v_C), and a second-order ODE in its
 companion state.  A substep is the augmented matrix exponential (Van Loan,
-IEEE TAC 1978), and a run of substeps is filled by doubling its powers.
+IEEE TAC 1978) by scaling and squaring a Taylor series (Moler and Van Loan,
+SIAM Rev. 2003), in plain floats like all of the circuit algebra; numpy
+holds only arrays: a ladder's rungs, the cycle table, a batch of cycle
+starts and a kept grid.  A run of substeps is filled by doubling its powers.
 
 The switched circuit runs at cycle rate in continuous conduction, where a
 cycle is one affine map x -> phi x + gamma (the sampled-data model of
@@ -64,11 +67,11 @@ class WindowOutOfRange(ModelDomainError):
 
 
 class _Mode(NamedTuple):
-    """x' = a x + u in a two-entry state x, such as (i_L, v_C), with output out @ x."""
+    """x' = A x + u in a two-entry state x, such as (i_L, v_C), with output c x,
+    in plain floats: ``out`` is c, and ``rows`` is [A | u], (a11, a12, u1, a21, a22, u2)."""
 
-    a: np.ndarray
-    u: np.ndarray
-    out: np.ndarray
+    rows: tuple[float, ...]
+    out: tuple[float, float]
 
 
 def _modes(p: ConverterParams, v_i: float, r_0: float) -> tuple[_Mode, _Mode, _Mode]:
@@ -83,51 +86,76 @@ def _modes(p: ConverterParams, v_i: float, r_0: float) -> tuple[_Mode, _Mode, _M
     if not p.c * (r_0 + p.r_c) > 0.0:
         raise NonFiniteState(f"the output time constant c (r_0 + r_c) underflows at r_0 = {r_0!r}")
     g = -1.0 / (p.c * (r_0 + p.r_c))
-    out_c = np.array([0.0, k])
-    on = _Mode(np.diag([-(p.r_l + p.r_m) / p.l, g]), np.array([v_i / p.l, 0.0]), out_c)
-    off = _Mode(np.array([[-(p.r_l + k * p.r_c) / p.l, -k / p.l], [k / p.c, g]]),
-                np.array([(v_i - p.v_d) / p.l, 0.0]), np.array([k * p.r_c, k]))
-    return on, off, _Mode(np.diag([0.0, g]), np.zeros(2), out_c)
+    on = _Mode((-(p.r_l + p.r_m) / p.l, 0.0, v_i / p.l, 0.0, g, 0.0), (0.0, k))
+    off = _Mode((-(p.r_l + k * p.r_c) / p.l, -k / p.l, (v_i - p.v_d) / p.l, k / p.c, g, 0.0),
+                (k * p.r_c, k))
+    return on, off, _Mode((0.0, 0.0, 0.0, 0.0, g, 0.0), (0.0, k))
 
 
 def _averaged_mode(p: ConverterParams, v_i: float, r_0: float) -> _Mode:
     """Duty-weighted average of the on and off modes (state-space averaging)."""
     on, off, _ = _modes(p, v_i, r_0)
-    return _Mode(*(p.d * x_on + (1.0 - p.d) * x_off for x_on, x_off in zip(on, off)))
+    return _Mode(*(tuple(p.d * a + (1.0 - p.d) * b for a, b in zip(x_on, x_off))
+                   for x_on, x_off in zip(on, off)))
 
 
-def _ladder(mode: _Mode, h: float, steps: int) -> list[np.ndarray]:
+def _cramer(m: _Mode) -> tuple[float, float, float]:
+    """det(A) x_inf and det(A), where A x_inf = -u, by Cramer's rule."""
+    a11, a12, u1, a21, a22, u2 = m.rows
+    return a12 * u2 - a22 * u1, a21 * u1 - a11 * u2, a11 * a22 - a12 * a21
+
+
+def _dot(c1: float, c2: float, x1: float, x2: float) -> float:
+    """c1 x1 + c2 x2 with c2 x2 fused into the sum and rounded once, as BLAS
+    kernels that fuse multiply-adds form it: exact in integers, rounded by
+    their true division.  The averaged form takes its products so, since
+    its slope on a steady start is a cancelled difference that turns a
+    changed rounding into a ~1e-8 change of its peak."""
+    q = c1 * x1
+    if not (abs(q) < 1e300 and abs(c2 * x2) < 1e300):
+        return q + c2 * x2
+    (a, b), (c, d), (e, f) = q.as_integer_ratio(), c2.as_integer_ratio(), x2.as_integer_ratio()
+    return (a * d * f + c * e * b) / (b * d * f)
+
+
+def _ladder(mode: _Mode, h: float, steps: int) -> np.ndarray:
     """Exact maps of one mode over 1, 2, 4, ... substeps of length h, up to
-    ``steps`` substeps.
+    ``steps`` substeps, shape (rungs, 2, 3).
 
     One substep is the augmented exponential exp([[A, u], [0, 0]] h) =
     [[phi, gamma], [0, 1]] (Van Loan), so a singular A, as in a lossless
-    on mode or the idle mode, needs no special case.  It is a Taylor series
-    of the matrix scaled by 2^-s, squared s times: the first s doublings,
-    whose rungs are dropped.  A rung keeps the rows [phi, gamma], which act
-    on the column (x, 1).
+    on mode or the idle mode, needs no special case.  It is the Taylor
+    series to the 18th power of the matrix scaled by 2^-s, squared s times:
+    the first s doublings, whose rungs are dropped.  Both run in floats on
+    the six entries of the rows [phi, gamma], which act on (x, 1).
     """
-    aug = np.zeros((3, 3))
-    aug[:2] = np.column_stack([mode.a, mode.u]) * h
-    s = max(0, math.frexp(float(np.abs(aug).sum(axis=1).max()))[1] + 1)
-    a = aug / 2.0**s
-    term = e = np.eye(3)
-    for k in range(1, 19):
-        term = term @ a / k
-        e = e + term
+    aug = [v * h for v in mode.rows]
+    s = max(0, math.frexp(max(abs(aug[0]) + abs(aug[1]) + abs(aug[2]),
+                              abs(aug[3]) + abs(aug[4]) + abs(aug[5])))[1] + 1)
+    scale = 2.0**s
+    a11, a12, a13, a21, a22, a23 = t11, t12, t13, t21, t22, t23 = [v / scale for v in aug]
+    e = [1.0 + a11, a12, a13, a21, 1.0 + a22, a23]
+    for k in range(2, 19):  # term k is term k-1 times the scaled matrix, over k
+        t11, t12, t13, t21, t22, t23 = (
+            (t11 * a11 + t12 * a21) / k, (t11 * a12 + t12 * a22) / k, (t11 * a13 + t12 * a23) / k,
+            (t21 * a11 + t22 * a21) / k, (t21 * a12 + t22 * a22) / k, (t21 * a13 + t22 * a23) / k)
+        e = [e[0] + t11, e[1] + t12, e[2] + t13, e[3] + t21, e[4] + t22, e[5] + t23]
     return _doublings(e, max(steps, 1) << s)[s:]
 
 
-def _doublings(e: np.ndarray, steps: int) -> list[np.ndarray]:
-    """Rows [phi, gamma] of e = [[phi, gamma], [0, 1]] and of its powers 2, 4, ... <= steps."""
-    rungs = [e[:2]]
+def _doublings(e: Sequence[float], steps: int) -> np.ndarray:
+    """Rows [phi, gamma] of e = [[phi, gamma], [0, 1]], given as six floats,
+    and of its powers 2, 4, ... <= steps, shape (rungs, 2, 3)."""
+    rungs = [e]
     while 2 ** len(rungs) <= steps:
-        e = e @ e
-        rungs.append(e[:2])
-    return rungs
+        e11, e12, e13, e21, e22, e23 = e
+        e = (e11 * e11 + e12 * e21, e11 * e12 + e12 * e22, e11 * e13 + e12 * e23 + e13,
+             e21 * e11 + e22 * e21, e21 * e12 + e22 * e22, e21 * e13 + e22 * e23 + e23)
+        rungs.append(e)
+    return np.array(rungs).reshape(-1, 2, 3)
 
 
-def _advance(x: np.ndarray, rungs: list[np.ndarray]) -> None:
+def _advance(x: np.ndarray, rungs: np.ndarray) -> None:
     """Fill the (x, 1) columns x[..., 1:] from x[..., 0] by exact
     steps of one affine map; the rung over ``span`` steps maps columns
     [0, span) onto [span, 2 span).  Leading axes of x are a batch."""
@@ -141,20 +169,16 @@ def _advance(x: np.ndarray, rungs: list[np.ndarray]) -> None:
         span *= 2
 
 
-def _cycle_table(rungs: list[list[np.ndarray]], on_steps: int, spc: int) -> np.ndarray:
-    """The exact maps, shape (2, 3, spc), from a cycle's start column
-    (i_L, v_C, 1) to its samples 1..spc when its inductor current never
-    falls below zero: the on-mode powers, then the off-mode powers times
-    the whole on phase.  Built by advancing the three unit columns."""
-    maps = []
-    start = np.eye(3)
-    for steps, mode_rungs in ((on_steps, rungs[0]), (spc - on_steps, rungs[1])):
-        # run[j, :, s] is unit column j after s substeps of this phase
-        run = np.repeat(start[:, :, None], steps + 1, axis=2)
-        _advance(run, mode_rungs)
-        maps.append(run[:, :2, 1:])
-        start = run[:, :, -1]
-    return np.ascontiguousarray(np.concatenate(maps, axis=2).transpose(1, 0, 2))
+def _cycle_table(rungs: list[np.ndarray], on_steps: int, spc: int) -> np.ndarray:
+    """The exact maps, shape (2, 3, spc + 1), from a cycle's start column
+    (i_L, v_C, 1) to its samples 0..spc when its inductor current never
+    falls below zero: the identity, the on-mode powers, then the off-mode
+    powers times the whole on phase, built by advancing the unit columns."""
+    # run[j, :, s] is unit column j after s substeps
+    run = np.repeat(np.eye(3)[:, :, None], spc + 1, axis=2)
+    _advance(run[:, :, : on_steps + 1], rungs[0])
+    _advance(run[:, :, on_steps:], rungs[1])
+    return np.ascontiguousarray(run[:, :2].transpose(1, 0, 2))
 
 
 def integrate_second_order(m2: float, m1: float, m0: float, forcing: float,
@@ -183,8 +207,7 @@ def _stepped(m2, m1, m0, forcing, v0, dv0, dt, t_end, t_event=0.0, before=0.0):
     # ~1e4 v, and with the unscaled (v, v') the doubled maps lose digits
     # (3e-11 of the EBM peaks, against 2e-13 scaled)
     w = math.sqrt(abs(m0 / m2)) or 1.0
-    mode = _Mode(np.array([[0.0, w], [-m0 / (m2 * w), -m1 / m2]]),
-                 np.array([0.0, forcing / (m2 * w)]), np.array([1.0, 0.0]))
+    mode = _Mode((0.0, w, 0.0, -m0 / (m2 * w), -m1 / m2, forcing / (m2 * w)), (1.0, 0.0))
     x = np.ones((3, n + 1 - e))
     x[:2, 0] = v0, dv0 / w
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
@@ -195,22 +218,23 @@ def _stepped(m2, m1, m0, forcing, v0, dv0, dt, t_end, t_event=0.0, before=0.0):
     return out
 
 
-def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
-    """(i_L, v_C, 1) columns for samples 0..n with the first one set by
-    ``initial_state``: "zero" is rest, "steady" the fixed point of the
-    averaged modes, or rest where the diode blocks at i_L = 0."""
-    x = np.ones((3, n + 1))
-    if initial_state == "zero":
-        x[:2, 0] = 0.0
-    elif initial_state == "steady" and p.v_i <= (1.0 - p.d) * p.v_d:
-        x[:2, 0] = 0.0  # the diode blocks: the averaged circuit rests, as averaged_step_form does
-    elif initial_state == "steady":
-        # a x = -u by Cramer's rule, which leaves LAPACK unloaded
-        mode = _averaged_mode(p, p.v_i, p.r_0)
-        (a, b), (c, d), (u0, u1) = *mode.a, mode.u
-        x[:2, 0] = (b * u1 - d * u0) / (a * d - b * c), (c * u0 - a * u1) / (a * d - b * c)
-    else:
+def _start(p: ConverterParams, initial_state) -> tuple[float, float]:
+    """(i_L, v_C) at sample 0: rest if ``initial_state`` is "zero", and if "steady"
+    the averaged fixed point, or rest where the diode blocks at i_L = 0."""
+    if initial_state not in ("zero", "steady"):
         raise ValueError("initial_state must be 'zero' or 'steady'")
+    if initial_state == "zero" or p.v_i <= (1.0 - p.d) * p.v_d:
+        return 0.0, 0.0
+    x1, x2, det = _cramer(_averaged_mode(p, p.v_i, p.r_0))
+    if not det:
+        raise NonFiniteState("the averaged circuit has no fixed point: det(A) is 0")
+    return x1 / det, x2 / det
+
+
+def _state_grid(p: ConverterParams, initial_state, n: int) -> np.ndarray:
+    """(i_L, v_C, 1) columns for samples 0..n, the first one ``_start``'s."""
+    x = np.ones((3, n + 1))
+    x[:2, 0] = _start(p, initial_state)
     return x
 
 
@@ -275,24 +299,32 @@ def averaged_step_form(p: ConverterParams, event: StepEvent,
     what ``simulate_averaged`` steps from the event's sample on.  Where
     the diode blocks at rest, the output stays at 0 and so does the form.
     """
-    x0 = _state_grid(p, initial_state, 0)[:2, 0]
+    x1, x2 = _start(p, initial_state)
     threshold = (1.0 - p.d) * p.v_d
     if initial_state == "zero" and p.v_i > threshold and event.t_event > 0.0:
         raise ValueError("the averaged circuit moves before the event from rest at this input")
-    before = float(_averaged_mode(p, p.v_i, p.r_0).out @ x0)
+    before = _dot(*_averaged_mode(p, p.v_i, p.r_0).out, x1, x2)
     if event.kind is StepKind.INPUT_VOLTAGE:
         v_i, r_0 = event.value_after, p.r_0
     else:
         v_i, r_0 = p.v_i, event.value_after
     mode = _averaged_mode(p, v_i, r_0)
-    (a, b), (c, d), (u0, u1) = *mode.a.tolist(), mode.u.tolist()
-    # the forcing is det(A) c x_inf, with x_inf by Cramer's rule as in _state_grid
-    co = ebm.OdeCoefficients(m2=1.0, m1=-(a + d), m0=a * d - b * c,
-                             forcing=float(mode.out @ (b * u1 - d * u0, c * u0 - a * u1)))
-    if x0[0] <= 0.0 and v_i <= threshold:  # x0 is rest, and the form has nothing to move it
+    (a11, a12, u1, a21, a22, u2), c = mode
+    n1, n2, det = _cramer(mode)
+    # the forcing is det(A) c x_inf, with x_inf by Cramer's rule as in _start
+    co = ebm.OdeCoefficients(m2=1.0, m1=-(a11 + a22), m0=det, forcing=_dot(*c, n1, n2))
+    if x1 <= 0.0 and v_i <= threshold:  # x0 is rest, and the form has nothing to move it
         return before, ebm.to_standard_form(replace(co, forcing=0.0), 0.0, 0.0)
-    return before, ebm.to_standard_form(co, float(mode.out @ x0),
-                                        float(mode.out @ (mode.a @ x0 + mode.u)))
+    # A x0 as numpy's BLAS forms a matrix-vector product, a12 x2 first
+    dx1, dx2 = _dot(a12, a11, x2, x1) + u1, _dot(a22, a21, x2, x1) + u2
+    form = ebm.to_standard_form(co, _dot(*c, x1, x2), _dot(*c, dx1, dx2))
+    # the sums that ebm_response and response_slope scale by C and S
+    sigma, dv = form.xi * form.omega0, form.v0 - form.v_inf
+    slopes = (form.dv0 + sigma * dv, form.omega0 * form.omega0 * dv + sigma * form.dv0)
+    if not all(map(math.isfinite, slopes)):
+        raise NonFiniteState(f"the averaged form's slope overflows: xi {form.xi:.3g}, "
+                             f"omega0 {form.omega0:.3g}, dv0 {form.dv0:.3g}")
+    return before, form
 
 
 @dataclass(frozen=True)
@@ -399,11 +431,11 @@ def _switched_cycles(p: ConverterParams, events: Sequence[StepEvent], spc: int,
         x[:, 0] = x[:, spc]
 
     for a, b, v_i, r_0 in _segments(p, events, dt, n):
-        table = _cycle_table([rungs(v_i, r_0, 0), rungs(v_i, r_0, 1)], on_steps, spc)
-        cycle_rungs = _doublings(np.vstack([table[:, :, -1], (0.0, 0.0, 1.0)]), n // spc)
+        maps = _cycle_table([rungs(v_i, r_0, 0), rungs(v_i, r_0, 1)], on_steps, spc)
+        table = maps[:, :, 1:]
+        cycle_rungs = _doublings(table[:, :, -1].ravel().tolist(), n // spc)
         # samples 0..spc-1 of the unit start columns, so w @ (i_L, v_C, 1) is a cycle's mean
-        unit = np.concatenate([np.eye(3)[:2, :, None], table[:, :, :-1]], axis=2)
-        w = _output(unit[0], unit[1], on_phase, r_0, p.r_c).mean(axis=1)
+        w = _output(maps[0, :, :-1], maps[1, :, :-1], on_phase, r_0, p.r_c).mean(axis=1)
         k = r_0 / (r_0 + p.r_c)
         j = a
         while j < b:

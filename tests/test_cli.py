@@ -520,6 +520,25 @@ class TestErrorContract:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "NonFiniteState"
 
+    def test_an_averaged_form_whose_slope_overflows_exits_3(self, fast_params, tmp_path,
+                                                           capsys):
+        # l = 1e-300: the avg+par form has xi = 2.4e147, w0 = 1.7e152 and
+        # dv0 = 2.8e299, so xi w0 dv0 overflows, and inf times S = 0 at t = 0
+        # was a NaN with numpy's warning on a run that exited 0
+        design = dataclasses.replace(fast_params, l=1e-300)
+        config = write_config(tmp_path, design, event=COLD,
+                              solver={"t_end": 20 * fast_params.period})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["compare", "--config", config]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and caught == []
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "RuntimeWarning" not in lines[0]
+        payload = json.loads(lines[0])
+        assert (payload["error"], payload["exit_code"]) == ("NonFiniteState", 3)
+        assert "slope overflows" in payload["message"]
+
     def test_a_run_that_succeeds_shows_its_warnings(self, load_params, tmp_path, capsys):
         # a source below the diode threshold clamps the steady output, and says so
         converter = dataclasses.replace(load_params, v_i=0.1)

@@ -3,7 +3,9 @@ import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,74 @@ class TestModeSteps:
             i_l, v_c = one_substep(off, h, i_l, v_c)
             assert x[0, k] == pytest.approx(i_l, rel=1e-12)
             assert x[1, k] == pytest.approx(v_c, rel=1e-12)
+
+
+def substep_error_bound(rows):
+    """A bound on the infinity-norm error of ``_ladder``'s one-substep map of
+    the augmented matrix whose rows, A h and u h, are ``rows``: the Taylor
+    series to the 18th power of B = [[A h, u h], [0, 0]] / 2^s, then s
+    squarings, each in double precision (unit roundoff u = 2^-53).
+
+    With b = |B| < 1/2: the truncated tail is at most b^19 / 19! / (1 - b/20);
+    term k, k row products of three flops and k divisions, is off by at most
+    4 k u b^k / k!; the 18 additions add at most u e^b each.  A squaring of
+    E, |E| <= N, carrying an error e, leaves 2 N e + e^2 + 3 u N^2, and its
+    norm grows to N^2.
+    """
+    u = 2.0**-53
+    norm = max(sum(abs(v) for v in row) for row in rows)
+    s = max(0, math.frexp(norm)[1] + 1)
+    b = norm / 2.0**s
+    err = b**19 / math.factorial(19) / (1.0 - b / 20.0) + 19.0 * u * math.exp(b)
+    err += sum(4.0 * k * u * b**k / math.factorial(k) for k in range(19))
+    n = max(1.0, math.exp(b))
+    for _ in range(s):
+        err, n = 2.0 * n * err + err * err + 3.0 * u * n * n, n * n
+    return err
+
+
+class TestSubstepMaps:
+    """Each one-substep map [phi | gamma] against a 30-digit exponential of
+    the same augmented matrix, within the rounding bound of its series and
+    squarings."""
+
+    @staticmethod
+    def assert_is_exact(mode, h):
+        rows = [[v * h for v in mode.rows[:3]], [v * h for v in mode.rows[3:]]]
+        with mp.workdps(30):
+            exact = mp.expm(mp.matrix(rows + [[0, 0, 0]]))
+            err = max(sum(abs(mp.mpf(got) - exact[i, j]) for j, got in enumerate(row))
+                      for i, row in enumerate(_ladder(mode, h, 1)[0].tolist()))
+        assert float(err) <= substep_error_bound(rows)
+
+    @pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+    @pytest.mark.parametrize("step", ["substep", "unsquared", "squared"])
+    def test_switched_modes(self, lossless, step):
+        # r_l = r_m = 0 makes the on mode singular.  |B| = 0.45 is the longest
+        # step that takes no squaring, where a shorter series would show, and
+        # two periods take squarings
+        p = replace(QUICK, r_l=0.0, r_m=0.0) if lossless else QUICK
+        for mode in _modes(p, p.v_i, p.r_0):
+            norm = max(sum(map(abs, mode.rows[:3])), sum(map(abs, mode.rows[3:])))
+            h = {"substep": p.period / 200, "unsquared": 0.45 / norm, "squared": 2 * p.period}
+            self.assert_is_exact(mode, h[step])
+
+    def test_second_order_companion_mode(self, line_params, monkeypatch):
+        # the scaled companion mode that integrate_second_order steps the EBM ODE in
+        modes = []
+
+        def recording(mode, h, steps):
+            modes.append((mode, h))
+            return _ladder(mode, h, steps)
+
+        monkeypatch.setattr(oracle, "_ladder", recording)
+        co = ebm.ode_coefficients(line_params)
+        integrate_second_order(co.m2, co.m1, co.m0, co.forcing, 0.0, 0.0,
+                               line_params.period / 200, 50 * line_params.period)
+        (mode, h), = modes
+        assert (mode.rows[0], mode.out) == (0.0, (1.0, 0.0))
+        self.assert_is_exact(mode, h)
+        self.assert_is_exact(mode, 400 * h)
 
 
 def assert_exact(wave, exact):
@@ -647,23 +717,23 @@ class TestCycleMeans:
     #: arithmetic moves them; they hold for numpy 2.4 with its OpenBLAS.
     PINNED = {
         ("load-release", 50): (
-            ("dcm",), "0x1.2d83466199ecdp+3",
-            "3244742a6e6782d1c53a072a69d78e18d737a4216246d5fd462a67378f9918ce"),
+            ("dcm",), "0x1.2d83466199f4cp+3",
+            "c86ce19b35d1f0f8694f0bc07da7ae2701d3c1ba50055796273fc9db4b534f83"),
         ("load-release", 200): (
-            ("dcm",), "0x1.2d7f751d3a68fp+3",
-            "ed8c64d9d3d66b054fdf88c24f8c3c2724f88cf48ff82f0938d049f2fb31fff5"),
+            ("dcm",), "0x1.2d7f751d3a6ffp+3",
+            "06e783d3a2177d6074857d8b77879bb63b8ee0a25182fae7068aa66ddffc1e11"),
         ("line-cold", 50): (
-            ("dcm",), "0x1.565f48c7f35a5p+2",
-            "b36b6c181b473ef112e62a32dbca50461ecd5e5b2e4943b11a39f8a9d02b643f"),
+            ("dcm",), "0x1.565f48c7f35c0p+2",
+            "a793907b84bd385c5a2e093a3501b13a50f2d0770e6aebeab88e98dac5fdb5dd"),
         ("line-cold", 200): (
-            ("dcm",), "0x1.5c4afb676d1dbp+2",
-            "bed1a426a49c0992d9a30118abea3a3fca329408e084dab0df1094963bb35dbb"),
+            ("dcm",), "0x1.5c4afb676d17fp+2",
+            "412b31254560e120397fa22b6d9a5d707c4f0af517e154518c01a62f9a05e513"),
         ("load-increase", 50): (
-            (), "0x1.d6f94e87144fcp+1",
-            "663483ade90e42365a8e8b9ff856f022029d02a55c0ecc59494c1bbc6f09aae6"),
+            (), "0x1.d6f94e87144fap+1",
+            "aae8865a4872713abec83c557d7b443727f85d0ab1e551a96702ddc4cc4b3a8e"),
         ("load-increase", 200): (
-            (), "0x1.d6e76ad2b2dfdp+1",
-            "78657e9e994aba3b2b2a29503b900a4fa5dfb591dd033ca367f41407ee8104c5"),
+            (), "0x1.d6e76ad2b2e3ap+1",
+            "2a0abae6a3b1b83996a97f641bae54e291866f50c9bef3089d306d4fa08160a4"),
     }
 
     @pytest.mark.parametrize("run, spc", sorted(PINNED))
@@ -757,6 +827,77 @@ class TestAveragedStepForm:
         # from its fixed point, or with the event at t = 0, it does not
         averaged_step_form(fast_params, event, initial_state="steady")
         averaged_step_form(fast_params, replace(event, t_event=0.0), initial_state="zero")
+
+    def test_form_is_bitwise_its_numpy_formulation(self):
+        # dv0 = c (A x0 + u) cancels on a steady start, so a reordered
+        # product shows in the avg-par rows at ~1e-8: the float form keeps
+        # the rounding of numpy's fused products, field by field.
+        # (1 + 2^-30)^2 - (1 + 2^-29) is 2^-60 where the square is fused into
+        # the sum, and 0 where it is rounded first
+        near, past = 1.0 + 2.0**-30, 1.0 + 2.0**-29
+        fused = (np.array([-1.0, near]) @ np.array([past, near]),
+                 (np.array([[near, -1.0], [1.0, 1.0]]) @ np.array([near, past]))[0])
+        if fused != (2.0**-60, 2.0**-60):
+            pytest.skip("this numpy's BLAS does not fuse the products that _dot fuses")
+        rng = np.random.default_rng(36)
+        for _ in range(1200):
+            p = ConverterParams(
+                v_i=rng.uniform(0.1, 30.0), l=10 ** rng.uniform(-6, -2),
+                r_l=rng.uniform(0.0, 2.0), c=10 ** rng.uniform(-6, -3), r_c=rng.uniform(0.0, 1.0),
+                r_m=rng.uniform(0.0, 1.0), v_d=rng.uniform(0.0, 1.0), r_0=10 ** rng.uniform(0, 2.3),
+                d=rng.uniform(0.1, 0.9), f_sw=10 ** rng.uniform(3, 6))
+            if rng.random() < 0.3:
+                p = parasitic_free(p)
+            if rng.random() < 0.5:
+                event = StepEvent(StepKind.INPUT_VOLTAGE, p.v_i, p.v_i * rng.uniform(0.5, 2.0))
+            else:
+                event = StepEvent(StepKind.LOAD_RESISTANCE, p.r_0, p.r_0 * rng.uniform(0.2, 5.0))
+            for initial in ("zero", "steady"):
+                before, form = averaged_step_form(p, event, initial)
+                want_before, want = numpy_averaged_step_form(p, event, initial)
+                assert before == want_before
+                assert (form.xi, form.omega0, form.v_inf, form.v0, form.dv0) == (
+                    want.xi, want.omega0, want.v_inf, want.v0, want.dv0)
+
+    def test_the_fused_dot_rounds_once(self):
+        # c1 x1 is rounded, then c2 x2 is added to it exactly and rounded once
+        rng = np.random.default_rng(7)
+        for c1, c2, x1, x2 in rng.standard_normal((2000, 4)) * 10 ** rng.uniform(-5, 5, (2000, 4)):
+            c1, c2, x1, x2 = map(float, (c1, c2, x1, x2))
+            exact = Fraction(c1 * x1) + Fraction(c2) * Fraction(x2)
+            assert oracle._dot(c1, c2, x1, x2) == float(exact)
+
+
+def numpy_averaged_step_form(p, event, initial_state):
+    """``averaged_step_form`` in numpy products: its modes as arrays, x0 by
+    Cramer's rule on numpy scalars, and c x0, A x0 and c (A x0 + u) by ``@``."""
+    def modes(v_i, r_0):
+        k = r_0 / (r_0 + p.r_c)
+        g = -1.0 / (p.c * (r_0 + p.r_c))
+        out_c = np.array([0.0, k])
+        on = (np.diag([-(p.r_l + p.r_m) / p.l, g]), np.array([v_i / p.l, 0.0]), out_c)
+        off = (np.array([[-(p.r_l + k * p.r_c) / p.l, -k / p.l], [k / p.c, g]]),
+               np.array([(v_i - p.v_d) / p.l, 0.0]), np.array([k * p.r_c, k]))
+        return [p.d * x_on + (1.0 - p.d) * x_off for x_on, x_off in zip(on, off)]
+
+    threshold = (1.0 - p.d) * p.v_d
+    x0 = np.zeros(2)
+    if initial_state == "steady" and p.v_i > threshold:
+        mode_a, mode_u, _ = modes(p.v_i, p.r_0)
+        (a, b), (c, d), (u0, u1) = *mode_a, mode_u
+        x0[:] = (b * u1 - d * u0) / (a * d - b * c), (c * u0 - a * u1) / (a * d - b * c)
+    before = float(modes(p.v_i, p.r_0)[2] @ x0)
+    if event.kind is StepKind.INPUT_VOLTAGE:
+        v_i, r_0 = event.value_after, p.r_0
+    else:
+        v_i, r_0 = p.v_i, event.value_after
+    mode_a, mode_u, out = modes(v_i, r_0)
+    (a, b), (c, d), (u0, u1) = *mode_a.tolist(), mode_u.tolist()
+    co = ebm.OdeCoefficients(m2=1.0, m1=-(a + d), m0=a * d - b * c,
+                             forcing=float(out @ (b * u1 - d * u0, c * u0 - a * u1)))
+    if x0[0] <= 0.0 and v_i <= threshold:
+        return before, ebm.to_standard_form(replace(co, forcing=0.0), 0.0, 0.0)
+    return before, ebm.to_standard_form(co, float(out @ x0), float(out @ (mode_a @ x0 + mode_u)))
 
 
 class TestSizeBounds:
